@@ -50,239 +50,130 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"dmlscale/internal/core"
-	"dmlscale/internal/obs"
+	"dmlscale/internal/cli"
 	"dmlscale/internal/planner"
 	"dmlscale/internal/registry"
-	"dmlscale/internal/resilience"
-	"dmlscale/internal/resume"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/textio"
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	cli.Main(run)
 }
 
 // run is the whole command under test: flags from args, rendering to the
 // given writers, cancellation from ctx, the exit code returned instead of
 // called.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dmls-plan", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	h := cli.New(cli.Command{
+		Name: "dmls-plan",
+		Usage: cli.Usage{
+			Parallel:    "total parallelism budget shared by plan workers and intra-curve shards; 0 means GOMAXPROCS",
+			Stats:       "report kernel-cache hit ratio and planning wall time on stderr",
+			Trace:       "write a Chrome/Perfetto trace of the planning pass (suite→cell→kernel spans) to this file",
+			EmitExample: "print an example planning suite and exit",
+			Checkpoint:  "append-only journal file recording Monte-Carlo kernel estimates as they are computed; a killed pass resumes from it with -resume",
+			Resume:      "replay the -checkpoint journal (validated against this suite) so already-paid-for kernel estimates are served from cache; a missing or empty journal starts fresh",
+		},
+		Example: exampleSuite,
+		Stats:   statsReport,
+		Done:    "planned",
+	}, stdout, stderr)
+	fs := h.Flags
 	var (
-		suitePath   = fs.String("suite", "", "JSON suite (or single-scenario) file")
-		objective   = fs.String("objective", "", "ranking objective: tta, cost or pareto (default: the suite's own, else tta)")
-		parallelism = fs.Int("parallel", 0, "total parallelism budget shared by plan workers and intra-curve shards; 0 means GOMAXPROCS")
-		format      = fs.String("format", "table", "output format: table, csv or json")
-		curves      = fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")
-		stats       = fs.Bool("stats", false, "report kernel-cache hit ratio and planning wall time on stderr")
-		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace of the planning pass (suite→cell→kernel spans) to this file")
-		emitExample = fs.Bool("emit-example", false, "print an example planning suite and exit")
-		adaptive    = fs.Bool("adaptive", false, "prune cells whose optimistic cost×time bound is already dominated (same frontier, fewer evaluations)")
-		refine      = fs.Int("refine", 0, "rounds of frontier refinement: subdivide numeric sweep axes next to frontier cells")
-		maxCost     = fs.Float64("max-cost", 0, "cost budget per run; recommendations are constrained to it, 0 means unconstrained")
-		maxTime     = fs.Duration("max-time", 0, "wall-time budget per run (e.g. 90m, 2h); 0 means unconstrained")
-		keepGoing   = fs.Bool("keep-going", false, "exit 0 even when some scenarios fail (a fully failed suite still exits 1)")
-		ckptPath    = fs.String("checkpoint", "", "append-only journal file recording Monte-Carlo kernel estimates as they are computed; a killed pass resumes from it with -resume")
-		resumeRun   = fs.Bool("resume", false, "replay the -checkpoint journal (validated against this suite) so already-paid-for kernel estimates are served from cache; a missing or empty journal starts fresh")
-		retries     = fs.Int("retries", -1, "max retries per transient fault at the kernel and cell layers; 0 disables retry, -1 keeps the default (2)")
+		objective = fs.String("objective", "", "ranking objective: tta, cost or pareto (default: the suite's own, else tta)")
+		adaptive  = fs.Bool("adaptive", false, "prune cells whose optimistic cost×time bound is already dominated (same frontier, fewer evaluations)")
+		refine    = fs.Int("refine", 0, "rounds of frontier refinement: subdivide numeric sweep axes next to frontier cells")
+		maxCost   = fs.Float64("max-cost", 0, "cost budget per run; recommendations are constrained to it, 0 means unconstrained")
+		maxTime   = fs.Duration("max-time", 0, "wall-time budget per run (e.g. 90m, 2h); 0 means unconstrained")
+		v         = &plan{curves: fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")}
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "dmls-plan: %v\n", err)
-		return 1
-	}
-
-	if *emitExample {
-		if err := exampleSuite().Encode(stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-	if *suitePath == "" {
-		return fail(fmt.Errorf("missing -suite (or -emit-example)"))
-	}
-	if *format != "table" && *format != "csv" && *format != "json" {
-		return fail(fmt.Errorf("unknown -format %q (table, csv, json)", *format))
+	if code, done := h.Parse(args); done {
+		return code
 	}
 	obj, err := planner.ParseObjective(*objective)
 	if err != nil {
-		return fail(err)
+		return h.Fail(err)
 	}
 	if *objective == "" {
 		obj = "" // defer to the suite's own objective
 	}
-	suite, err := scenario.LoadSuite(*suitePath)
-	if err != nil {
-		return fail(err)
-	}
-	if *parallelism > 0 {
-		core.SetParallelism(*parallelism)
-	}
-	applyRetries(*retries)
-	if *resumeRun && *ckptPath == "" {
-		return fail(fmt.Errorf("-resume needs -checkpoint"))
-	}
-	var cpRun *resume.Run
-	if *ckptPath != "" {
-		// Plans are cheap to recompute; the kernel estimates behind them are
-		// not. The planning journal records only kernel work, so a resumed
-		// pass replans every cell but pays the Monte-Carlo cost once.
-		cs, err := suite.Cells()
-		if err != nil {
-			return fail(err)
-		}
-		cpRun, err = resume.Open(*ckptPath, suite.Name, cs.Len(), *resumeRun)
-		if err != nil {
-			return fail(err)
-		}
-		if cpRun.Resumed {
-			fmt.Fprintf(stderr, "dmls-plan: resuming from %s: %d kernel estimates replayed\n",
-				*ckptPath, cpRun.KernelReplayed)
-		}
-	}
-	opts := planner.Options{
+	v.objective = obj
+	v.opts = planner.Options{
 		Prune:          *adaptive,
 		RefineRounds:   *refine,
 		MaxCost:        *maxCost,
 		MaxTimeSeconds: maxTime.Seconds(),
 	}
-	var traceBuf *obs.TraceBuffer
-	if *tracePath != "" {
-		traceBuf = obs.NewTraceBuffer(0)
-		obs.SetRecorder(traceBuf)
-		defer obs.SetRecorder(nil)
-	}
-	start := time.Now()
-	report, evalStats, err := planner.PlanSuiteCtx(ctx, suite, obj, 0, opts)
-	interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	var ckptErr error
-	if cpRun != nil {
-		ckptErr = cpRun.Close()
-	}
-	if err != nil && !interrupted {
-		return fail(err)
-	}
-	elapsed := time.Since(start)
-	if traceBuf != nil {
-		obs.SetRecorder(nil)
-		if terr := writeTrace(*tracePath, traceBuf); terr != nil {
-			return fail(terr)
-		}
-		fmt.Fprintf(stderr, "dmls-plan: wrote %d spans to %s\n", traceBuf.Ended(), *tracePath)
-	}
-	reportStats := func() {
-		if *stats {
-			fmt.Fprint(stderr, statsReport(evalStats, registry.SnapshotCaches(), elapsed))
-		}
-	}
+	return h.Run(ctx, v)
+}
 
-	switch *format {
+// plan is the dmls-plan verb: one planning pass and its renderers.
+type plan struct {
+	curves    *bool
+	objective planner.Objective
+	opts      planner.Options
+	report    planner.Report
+}
+
+// Evaluate plans the suite. Plans are cheap to recompute; the kernel
+// estimates behind them are not. The planning journal records only kernel
+// work — opening it installed the kernel hook — so a resumed pass replans
+// every cell but pays the Monte-Carlo cost once.
+func (v *plan) Evaluate(ctx context.Context, s scenario.Suite, _ scenario.Checkpoint) (scenario.EvalStats, error) {
+	report, st, err := planner.PlanSuiteCtx(ctx, s, v.objective, 0, v.opts)
+	v.report = report
+	return st, err
+}
+
+func (v *plan) Render(w io.Writer, format string) error {
+	switch format {
 	case "csv":
-		if err := scenario.WritePlansCSV(stdout, report.Export().Plans); err != nil {
-			return fail(err)
-		}
+		return scenario.WritePlansCSV(w, v.report.Export().Plans)
 	case "json":
-		if err := scenario.WritePlansJSON(stdout, report.Export()); err != nil {
-			return fail(err)
-		}
-	default:
-		fmt.Fprintf(stdout, "suite: %s (%d scenarios, objective %s)\n\n", report.Suite, len(report.Plans), report.Objective)
-		fmt.Fprintln(stdout, planTable(report).String())
-		for _, line := range notices(report) {
-			fmt.Fprintln(stdout, line)
-		}
-
-		if *curves {
-			for _, p := range report.Plans {
-				if p.Err != nil {
-					continue
-				}
-				fmt.Fprintf(stdout, "\n%s\n", p.Scenario.Name)
-				header := []string{"workers", "t (s)", "cost"}
-				if p.ConvergenceAware {
-					header = []string{"workers", "t-to-accuracy (s)", "iterations", "cost"}
-				}
-				table := textio.NewTable(header...)
-				for _, pt := range p.Curve {
-					if p.ConvergenceAware {
-						table.AddRow(pt.Workers, float64(pt.Time), pt.Iterations, pt.Cost)
-					} else {
-						table.AddRow(pt.Workers, float64(pt.Time), pt.Cost)
-					}
-				}
-				fmt.Fprintln(stdout, table.String())
+		return scenario.WritePlansJSON(w, v.report.Export())
+	}
+	report := v.report
+	fmt.Fprintf(w, "suite: %s (%d scenarios, objective %s)\n\n", report.Suite, len(report.Plans), report.Objective)
+	fmt.Fprintln(w, planTable(report).String())
+	for _, line := range notices(report) {
+		fmt.Fprintln(w, line)
+	}
+	if *v.curves {
+		for _, p := range report.Plans {
+			if p.Err != nil {
+				continue
 			}
+			fmt.Fprintf(w, "\n%s\n", p.Scenario.Name)
+			header := []string{"workers", "t (s)", "cost"}
+			if p.ConvergenceAware {
+				header = []string{"workers", "t-to-accuracy (s)", "iterations", "cost"}
+			}
+			table := textio.NewTable(header...)
+			for _, pt := range p.Curve {
+				if p.ConvergenceAware {
+					table.AddRow(pt.Workers, float64(pt.Time), pt.Iterations, pt.Cost)
+				} else {
+					table.AddRow(pt.Workers, float64(pt.Time), pt.Cost)
+				}
+			}
+			fmt.Fprintln(w, table.String())
 		}
 	}
+	return nil
+}
 
-	reportStats()
-	if ckptErr != nil {
-		fmt.Fprintf(stderr, "dmls-plan: checkpoint: %v\n", ckptErr)
-	}
-	if interrupted {
-		fmt.Fprintf(stderr, "dmls-plan: interrupted; partial results above (%d of %d cells planned)\n",
-			evalStats.Evaluated+evalStats.Pruned, evalStats.Scenarios)
-		if *ckptPath != "" {
-			fmt.Fprintf(stderr, "dmls-plan: resume with: -suite %s -checkpoint %s -resume\n", *suitePath, *ckptPath)
-		}
-		return 130
-	}
-	if ckptErr != nil {
-		return 1
-	}
-	failed := 0
-	for _, p := range report.Plans {
+func (v *plan) Failed() (failed, total int) {
+	for _, p := range v.report.Plans {
 		if p.Err != nil {
 			failed++
 		}
 	}
-	return exitCode("dmls-plan", failed, len(report.Plans), *keepGoing, stderr)
-}
-
-// applyRetries overrides the process-wide retry policy's attempt count:
-// -retries N allows N retries after the first attempt, 0 disables retrying
-// entirely, and a negative value keeps the built-in default.
-func applyRetries(retries int) {
-	if retries < 0 {
-		return
-	}
-	p := resilience.Default()
-	p.MaxAttempts = retries + 1
-	resilience.SetDefault(p)
-}
-
-// exitCode turns the failure count into the process exit code: 0 for a
-// clean run, 1 when anything failed — unless keepGoing, which tolerates
-// partial failure (warned on stderr) but never a fully failed suite.
-func exitCode(cmd string, failed, total int, keepGoing bool, stderr io.Writer) int {
-	if failed == 0 {
-		return 0
-	}
-	if failed == total {
-		fmt.Fprintf(stderr, "%s: all %d scenarios failed\n", cmd, failed)
-		return 1
-	}
-	fmt.Fprintf(stderr, "%s: %d of %d scenarios failed (see results)\n", cmd, failed, total)
-	if keepGoing {
-		return 0
-	}
-	return 1
+	return failed, len(v.report.Plans)
 }
 
 // statsReport renders the -stats block: how many cells were planned versus
@@ -306,40 +197,8 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	out += fmt.Sprintf("stats: wall split: bound %v, refine %v, cell planning %v summed, kernel compute %v\n",
 		st.BoundTime.Round(time.Microsecond), st.RefineTime.Round(time.Microsecond),
 		st.PlanTime.Round(time.Microsecond), st.KernelComputeTime.Round(time.Microsecond))
-	out += slowestCellsReport(st.SlowestCells)
+	out += cli.SlowestCells(st.SlowestCells)
 	return out + caches.Report()
-}
-
-// slowestCellsReport renders the top-k slowest cells, one line, or nothing
-// when no cell recorded a timing.
-func slowestCellsReport(cells []scenario.CellTiming) string {
-	if len(cells) == 0 {
-		return ""
-	}
-	out := "stats: slowest cells:"
-	for i, ct := range cells {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf(" %s %v", ct.Name, ct.Total.Round(time.Microsecond))
-	}
-	return out + "\n"
-}
-
-// writeTrace flushes the recorded spans as a Chrome/Perfetto trace file.
-func writeTrace(path string, buf *obs.TraceBuffer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := buf.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return nil
 }
 
 // planTable renders the ranked recommendations: one row per plan with its

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,14 +13,14 @@ import (
 
 func TestExampleSuitePlans(t *testing.T) {
 	suite := exampleSuite()
-	scenarios, err := suite.Expand()
+	cs, err := suite.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scenarios) != 6 {
-		t.Fatalf("example suite expands to %d scenarios, want 6", len(scenarios))
+	if cs.Len() != 6 {
+		t.Fatalf("example suite expands to %d scenarios, want 6", cs.Len())
 	}
-	report, err := planner.PlanSuite(suite, "", 0)
+	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestPlanTableReportsErrorsAndNotices(t *testing.T) {
 	fallback := good
 	fallback.Name = "fallback"
 	fallback.Convergence = nil
-	report, err := planner.PlanSuite(scenario.Suite{
+	report, _, err := planner.PlanSuiteCtx(context.Background(), scenario.Suite{
 		Name:      "mixed",
 		Scenarios: []scenario.Scenario{good, bad, fallback},
-	}, planner.ObjectiveTTA, 2)
+	}, planner.ObjectiveTTA, 2, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@
 //
 //	POST /v1/sweep   {"suite": {...}}                 → dmls-sweep -format json output
 //	POST /v1/plan    {"suite": {...}, "adaptive": true} → dmls-plan -format json output
-//	GET  /healthz    liveness: "ok", or 503 "draining" during shutdown
+//	GET  /healthz    liveness: "ok"; 200 "degraded" while a kernel circuit
+//	                 breaker is open; 503 "draining" during shutdown
 //	GET  /metrics    Prometheus text exposition (counters, per-route latency
-//	                 histograms, cache gauges); legacy JSON snapshot under
-//	                 Accept: application/json
+//	                 histograms, breaker and cache gauges)
 //
 // Observability: every request carries a W3C traceparent (an incoming one
 // is honored, otherwise a trace id is minted) echoed on the response;
@@ -30,6 +30,12 @@
 // abandoned request frees its parallelism budget instead of wedging the
 // server. SIGINT/SIGTERM starts a graceful drain: in-flight requests get
 // -drain-timeout to finish before their contexts are cancelled.
+//
+// Each route has a kernel circuit breaker (-breaker-*). A request counts
+// against it only when a cell failed with a transient kernel fault; a cell
+// that fails on the client's own input (an unknown protocol kind, say)
+// neither trips nor heals it. While a breaker is open, /v1/plan answers
+// with bound-model estimates marked "degraded" and /v1/sweep sheds 503.
 package main
 
 import (

@@ -31,21 +31,13 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"dmlscale/internal/asciiplot"
-	"dmlscale/internal/core"
-	"dmlscale/internal/obs"
+	"dmlscale/internal/cli"
 	"dmlscale/internal/registry"
-	"dmlscale/internal/resilience"
-	"dmlscale/internal/resume"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/textio"
 )
@@ -55,204 +47,88 @@ import (
 const maxPlotCurves = 8
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	cli.Main(run)
 }
 
 // run is the whole command under test: flags from args, rendering to the
 // given writers, cancellation from ctx, the exit code returned instead of
 // called.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dmls-sweep", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		suitePath   = fs.String("suite", "", "JSON suite (or single-scenario) file")
-		parallelism = fs.Int("parallel", 0, "total parallelism budget shared by suite-level curve workers and intra-curve Monte-Carlo shards; 0 means GOMAXPROCS")
-		format      = fs.String("format", "table", "output format: table, csv or json")
-		curves      = fs.Bool("curves", false, "print every scenario's full speedup curve (table format)")
-		noPlot      = fs.Bool("no-plot", false, "skip the overlaid speedup plot")
-		stats       = fs.Bool("stats", false, "report kernel-cache hit ratio, curve dedup and wall-time split on stderr")
-		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace of the evaluation (suite→cell→kernel spans) to this file")
-		emitExample = fs.Bool("emit-example", false, "print an example sweep suite and exit")
-		keepGoing   = fs.Bool("keep-going", false, "exit 0 even when some scenarios fail (a fully failed suite still exits 1)")
-		ckptPath    = fs.String("checkpoint", "", "append-only journal file recording finished cells and kernel estimates as they land; a killed run resumes from it with -resume")
-		resumeRun   = fs.Bool("resume", false, "replay the -checkpoint journal (validated against this suite) and evaluate only the missing cells; a missing or empty journal starts fresh")
-		retries     = fs.Int("retries", -1, "max retries per transient fault at the kernel and cell layers; 0 disables retry, -1 keeps the default (2)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
+	h := cli.New(cli.Command{
+		Name: "dmls-sweep",
+		Usage: cli.Usage{
+			Parallel:    "total parallelism budget shared by suite-level curve workers and intra-curve Monte-Carlo shards; 0 means GOMAXPROCS",
+			Stats:       "report kernel-cache hit ratio, curve dedup and wall-time split on stderr",
+			Trace:       "write a Chrome/Perfetto trace of the evaluation (suite→cell→kernel spans) to this file",
+			EmitExample: "print an example sweep suite and exit",
+			Checkpoint:  "append-only journal file recording finished cells and kernel estimates as they land; a killed run resumes from it with -resume",
+			Resume:      "replay the -checkpoint journal (validated against this suite) and evaluate only the missing cells; a missing or empty journal starts fresh",
+		},
+		Example:       exampleSuite,
+		Stats:         statsReport,
+		JournalsCells: true,
+		Done:          "evaluated",
+	}, stdout, stderr)
+	v := &sweep{
+		curves: h.Flags.Bool("curves", false, "print every scenario's full speedup curve (table format)"),
+		noPlot: h.Flags.Bool("no-plot", false, "skip the overlaid speedup plot"),
 	}
+	if code, done := h.Parse(args); done {
+		return code
+	}
+	return h.Run(ctx, v)
+}
 
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "dmls-sweep: %v\n", err)
-		return 1
-	}
+// sweep is the dmls-sweep verb: one suite evaluation and its renderers.
+type sweep struct {
+	curves, noPlot *bool
+	suite          string
+	results        []scenario.Result
+}
 
-	if *emitExample {
-		if err := exampleSuite().Encode(stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-	if *suitePath == "" {
-		return fail(fmt.Errorf("missing -suite (or -emit-example)"))
-	}
-	if *format != "table" && *format != "csv" && *format != "json" {
-		return fail(fmt.Errorf("unknown -format %q (table, csv, json)", *format))
-	}
-	suite, err := scenario.LoadSuite(*suitePath)
-	if err != nil {
-		return fail(err)
-	}
-	if *parallelism > 0 {
-		core.SetParallelism(*parallelism)
-	}
-	applyRetries(*retries)
-	if *resumeRun && *ckptPath == "" {
-		return fail(fmt.Errorf("-resume needs -checkpoint"))
-	}
-	var (
-		cpRun *resume.Run
-		cp    scenario.Checkpoint
-	)
-	if *ckptPath != "" {
-		cs, err := suite.Cells()
-		if err != nil {
-			return fail(err)
-		}
-		cpRun, err = resume.Open(*ckptPath, suite.Name, cs.Len(), *resumeRun)
-		if err != nil {
-			return fail(err)
-		}
-		cp = cpRun
-		if cpRun.Resumed {
-			fmt.Fprintf(stderr, "dmls-sweep: resuming from %s: %d cells and %d kernel estimates replayed\n",
-				*ckptPath, cpRun.CellsReplayed, cpRun.KernelReplayed)
-		}
-	}
-	var traceBuf *obs.TraceBuffer
-	if *tracePath != "" {
-		traceBuf = obs.NewTraceBuffer(0)
-		obs.SetRecorder(traceBuf)
-		defer obs.SetRecorder(nil)
-	}
-	start := time.Now()
-	results, evalStats, err := scenario.EvaluateSuiteCheckpointCtx(ctx, suite, 0, cp)
-	interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	var ckptErr error
-	if cpRun != nil {
-		// Close before rendering: the journal must be durable even if the
-		// render path fails, and an append failure must not exit 0.
-		ckptErr = cpRun.Close()
-	}
-	if err != nil && !interrupted {
-		return fail(err)
-	}
-	elapsed := time.Since(start)
-	if traceBuf != nil {
-		obs.SetRecorder(nil)
-		if terr := writeTrace(*tracePath, traceBuf); terr != nil {
-			return fail(terr)
-		}
-		fmt.Fprintf(stderr, "dmls-sweep: wrote %d spans to %s\n", traceBuf.Ended(), *tracePath)
-	}
-	reportStats := func() {
-		if *stats {
-			fmt.Fprint(stderr, statsReport(evalStats, registry.SnapshotCaches(), elapsed))
-		}
-	}
+func (v *sweep) Evaluate(ctx context.Context, s scenario.Suite, cp scenario.Checkpoint) (scenario.EvalStats, error) {
+	results, st, err := scenario.EvaluateSuiteCheckpointCtx(ctx, s, 0, cp)
+	v.suite, v.results = s.Name, results
+	return st, err
+}
 
-	switch *format {
+func (v *sweep) Render(w io.Writer, format string) error {
+	switch format {
 	case "csv":
-		if err := scenario.WriteResultsCSV(stdout, results); err != nil {
-			return fail(err)
-		}
+		return scenario.WriteResultsCSV(w, v.results)
 	case "json":
-		if err := scenario.WriteResultsJSON(stdout, suite.Name, results); err != nil {
-			return fail(err)
+		return scenario.WriteResultsJSON(w, v.suite, v.results)
+	}
+	fmt.Fprintf(w, "suite: %s (%d scenarios)\n\n", v.suite, len(v.results))
+	fmt.Fprintln(w, summaryTable(v.results).String())
+	if !*v.noPlot {
+		if plot, ok := overlayPlot(v.results); ok {
+			fmt.Fprintln(w, plot)
 		}
-	default:
-		fmt.Fprintf(stdout, "suite: %s (%d scenarios)\n\n", suite.Name, len(results))
-		fmt.Fprintln(stdout, summaryTable(results).String())
-
-		if !*noPlot {
-			if plot, ok := overlayPlot(results); ok {
-				fmt.Fprintln(stdout, plot)
+	}
+	if *v.curves {
+		for _, res := range v.results {
+			if res.Err != nil {
+				continue
 			}
-		}
-		if *curves {
-			for _, res := range results {
-				if res.Err != nil {
-					continue
-				}
-				fmt.Fprintf(stdout, "\n%s\n", res.Scenario.Name)
-				table := textio.NewTable("workers", "t (s)", "speedup")
-				for _, p := range res.Curve.Points {
-					table.AddRow(p.N, float64(p.Time), p.Speedup)
-				}
-				fmt.Fprintln(stdout, table.String())
+			fmt.Fprintf(w, "\n%s\n", res.Scenario.Name)
+			table := textio.NewTable("workers", "t (s)", "speedup")
+			for _, p := range res.Curve.Points {
+				table.AddRow(p.N, float64(p.Time), p.Speedup)
 			}
+			fmt.Fprintln(w, table.String())
 		}
 	}
-
-	reportStats()
-	if ckptErr != nil {
-		fmt.Fprintf(stderr, "dmls-sweep: checkpoint: %v\n", ckptErr)
-	}
-	if interrupted {
-		fmt.Fprintf(stderr, "dmls-sweep: interrupted; partial results above (%d of %d cells evaluated)\n",
-			evalStats.Evaluated+evalStats.CurvesDeduped, evalStats.Scenarios)
-		if *ckptPath != "" {
-			fmt.Fprintf(stderr, "dmls-sweep: resume with: -suite %s -checkpoint %s -resume\n", *suitePath, *ckptPath)
-		}
-		return 130
-	}
-	if ckptErr != nil {
-		return 1
-	}
-	return exitCode("dmls-sweep", countFailures(results), len(results), *keepGoing, stderr)
+	return nil
 }
 
-// applyRetries overrides the process-wide retry policy's attempt count:
-// -retries N allows N retries after the first attempt, 0 disables retrying
-// entirely, and a negative value keeps the built-in default.
-func applyRetries(retries int) {
-	if retries < 0 {
-		return
-	}
-	p := resilience.Default()
-	p.MaxAttempts = retries + 1
-	resilience.SetDefault(p)
-}
-
-// countFailures counts the results that carry their own evaluation error.
-func countFailures(results []scenario.Result) int {
-	failed := 0
-	for _, res := range results {
+func (v *sweep) Failed() (failed, total int) {
+	for _, res := range v.results {
 		if res.Err != nil {
 			failed++
 		}
 	}
-	return failed
-}
-
-// exitCode turns the failure count into the process exit code: 0 for a
-// clean run, 1 when anything failed — unless keepGoing, which tolerates
-// partial failure (warned on stderr) but never a fully failed suite.
-func exitCode(cmd string, failed, total int, keepGoing bool, stderr io.Writer) int {
-	if failed == 0 {
-		return 0
-	}
-	if failed == total {
-		fmt.Fprintf(stderr, "%s: all %d scenarios failed\n", cmd, failed)
-		return 1
-	}
-	fmt.Fprintf(stderr, "%s: %d of %d scenarios failed (see results)\n", cmd, failed, total)
-	if keepGoing {
-		return 0
-	}
-	return 1
+	return failed, len(v.results)
 }
 
 // statsReport renders the -stats block: the suite-level evaluation figures,
@@ -276,44 +152,8 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 		st.BuildTime.Round(time.Microsecond), st.SampleTime.Round(time.Microsecond))
 	out += fmt.Sprintf("stats: kernel compute %v of the sampled time (cache misses only; hits are free)\n",
 		st.KernelComputeTime.Round(time.Microsecond))
-	out += slowestCellsReport(st.SlowestCells)
+	out += cli.SlowestCells(st.SlowestCells)
 	return out + caches.Report()
-}
-
-// slowestCellsReport renders the top-k slowest cells, one line, or nothing
-// when no cell recorded a timing.
-func slowestCellsReport(cells []scenario.CellTiming) string {
-	if len(cells) == 0 {
-		return ""
-	}
-	out := "stats: slowest cells:"
-	for i, ct := range cells {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf(" %s %v", ct.Name, ct.Total.Round(time.Microsecond))
-		if ct.Build > 0 || ct.Sample > 0 {
-			out += fmt.Sprintf(" (build %v + sample %v)",
-				ct.Build.Round(time.Microsecond), ct.Sample.Round(time.Microsecond))
-		}
-	}
-	return out + "\n"
-}
-
-// writeTrace flushes the recorded spans as a Chrome/Perfetto trace file.
-func writeTrace(path string, buf *obs.TraceBuffer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := buf.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return nil
 }
 
 // summaryTable renders one row per scenario: optimum, peak, tail speedup,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,14 +12,14 @@ import (
 
 func TestExampleSuiteEvaluates(t *testing.T) {
 	suite := exampleSuite()
-	scenarios, err := suite.Expand()
+	cs, err := suite.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scenarios) != 8 {
-		t.Fatalf("example suite expands to %d scenarios, want 8", len(scenarios))
+	if cs.Len() != 8 {
+		t.Fatalf("example suite expands to %d scenarios, want 8", cs.Len())
 	}
-	results, err := scenario.EvaluateSuite(suite, 0)
+	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestExampleSuiteEvaluates(t *testing.T) {
 }
 
 func TestStatsReport(t *testing.T) {
-	results, st, err := scenario.EvaluateSuiteStats(exampleSuite(), 0)
+	results, st, err := scenario.EvaluateSuiteStatsCtx(context.Background(), exampleSuite(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSummaryTableReportsErrors(t *testing.T) {
 	bad := scenario.Fig2()
 	bad.Name = "bad"
 	bad.Hardware = scenario.HardwareSpec{Preset: "abacus"}
-	results, err := scenario.EvaluateSuite(scenario.Suite{
+	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), scenario.Suite{
 		Name:      "mixed",
 		Scenarios: []scenario.Scenario{scenario.Fig2(), bad},
 	}, 2)

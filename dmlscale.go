@@ -36,7 +36,7 @@
 // GOMAXPROCS), and results are bit-identical at any setting:
 //
 //	suite, err := dmlscale.LoadSuite("sweep.json")
-//	results, err := dmlscale.EvaluateSuite(suite, 0) // 0 = whole budget
+//	results, stats, err := dmlscale.EvaluateSuite(ctx, suite, 0) // 0 = whole budget
 //
 // The subpackages under internal implement the full system: analytic models
 // (core, comm), the catalog (registry), the scenario/suite schema
@@ -233,69 +233,48 @@ func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
 // LoadSuite reads a suite (or single-scenario) JSON file.
 func LoadSuite(path string) (Suite, error) { return scenario.LoadSuite(path) }
 
-// EvaluateSuite expands a suite and computes every speedup curve
-// concurrently. Workers come from the shared parallelism budget (default
-// GOMAXPROCS; size it with SetParallelism), which suite-level curve workers
-// and intra-curve Monte-Carlo shards split between them; the parallelism
-// argument only caps the suite-level workers within that budget (≤ 0 means
-// no extra cap — it cannot raise concurrency above the budget). A failing
-// scenario yields a SuiteResult with Err set; the rest of the suite still
-// evaluates. Cells that describe the same model under different labels are
-// evaluated once and fanned out (SuiteResult.Deduped), and Monte-Carlo
-// kernel estimates are cached process-wide, so a grid that varies only
-// communication-side axes pays for each distinct computation kernel exactly
-// once; results are bit-identical with the caches cold or warm.
-func EvaluateSuite(s Suite, parallelism int) ([]SuiteResult, error) {
-	return scenario.EvaluateSuite(s, parallelism)
-}
-
-// EvaluateSuiteStats is EvaluateSuite plus the pass's evaluation stats:
-// cells evaluated versus deduped and the build-versus-sample wall-time
-// split. Pair it with SnapshotCaches to see the kernel-cache hit ratio.
-func EvaluateSuiteStats(s Suite, parallelism int) ([]SuiteResult, EvalStats, error) {
-	return scenario.EvaluateSuiteStats(s, parallelism)
-}
-
-// EvaluateSuiteCtx is EvaluateSuiteStats under a context, so a sweep can be
-// deadlined or aborted mid-grid: cancellation stops new model work
-// promptly — including Monte-Carlo kernels mid-estimate — and yields
-// deterministic partial results, one SuiteResult per cell, where cells
-// evaluated before ctx fired are bit-identical to an uncancelled run's and
-// the rest carry an error wrapping ctx.Err() (counted in
-// EvalStats.Cancelled). No goroutines or parallelism-budget slots outlive
-// the call. The returned error is ctx's own when the run was cut short.
-func EvaluateSuiteCtx(ctx context.Context, s Suite, parallelism int) ([]SuiteResult, EvalStats, error) {
+// EvaluateSuite computes every speedup curve of a suite concurrently, with
+// the pass's evaluation stats. Workers come from the shared parallelism
+// budget (default GOMAXPROCS; size it with SetParallelism), which
+// suite-level curve workers and intra-curve Monte-Carlo shards split between
+// them; the parallelism argument only caps the suite-level workers within
+// that budget (≤ 0 means no extra cap — it cannot raise concurrency above
+// the budget). A failing scenario yields a SuiteResult with Err set; the
+// rest of the suite still evaluates. Cells that describe the same model
+// under different labels are evaluated once and fanned out
+// (SuiteResult.Deduped), and Monte-Carlo kernel estimates are cached
+// process-wide, so a grid that varies only communication-side axes pays for
+// each distinct computation kernel exactly once; results are bit-identical
+// with the caches cold or warm. Pair the stats with SnapshotCaches to see
+// the kernel-cache hit ratio.
+//
+// Cancelling ctx stops new model work promptly — including Monte-Carlo
+// kernels mid-estimate — and yields deterministic partial results, one
+// SuiteResult per cell: cells evaluated before ctx fired are bit-identical
+// to an uncancelled run's, the rest carry an error wrapping ctx.Err()
+// (counted in EvalStats.Cancelled), and the returned error is ctx's own. No
+// goroutines or parallelism-budget slots outlive the call.
+func EvaluateSuite(ctx context.Context, s Suite, parallelism int) ([]SuiteResult, EvalStats, error) {
 	return scenario.EvaluateSuiteStatsCtx(ctx, s, parallelism)
 }
 
-// PlanSuite expands a suite and plans every scenario concurrently: each
-// cell's per-iteration model composes with its convergence block into a
+// PlanSuite plans every scenario of a suite concurrently: each cell's
+// per-iteration model composes with its convergence block into a
 // time-to-accuracy curve, the planner finds the optimal worker count, prices
 // the run with the node's hourly cost rate, marks the suite's cost×time
 // Pareto frontier and ranks the cells by the objective ("" defers to the
 // suite's own objective field, else "tta"). Scenarios without a convergence
 // block degrade to per-iteration ranking with a notice; failures isolate
 // per cell. Output is deterministic at any parallelism.
-func PlanSuite(s Suite, objective PlanObjective, parallelism int) (PlanReport, error) {
-	return planner.PlanSuite(s, objective, parallelism)
-}
-
-// PlanSuiteAdaptive is PlanSuite with adaptive options and evaluation
-// statistics: bound-based pruning against an incremental Pareto frontier
-// (the evaluated frontier is provably identical to the exhaustive run's),
-// multi-axis refinement of the numeric sweep axes next to frontier cells,
-// and cost/time budget constraints. The zero PlanOptions reproduces
-// PlanSuite exactly.
-func PlanSuiteAdaptive(s Suite, objective PlanObjective, parallelism int, opts PlanOptions) (PlanReport, EvalStats, error) {
-	return planner.PlanSuiteOpts(s, objective, parallelism, opts)
-}
-
-// PlanSuiteCtx is PlanSuiteAdaptive under a context, so a planning pass can
-// be deadlined or aborted mid-grid: cells planned before ctx fired are
-// bit-identical to an uncancelled run's, the rest carry an error wrapping
-// ctx.Err() (EvalStats.Cancelled), and the returned error is ctx's own when
-// the run was cut short. No goroutines or budget slots outlive the call.
-func PlanSuiteCtx(ctx context.Context, s Suite, objective PlanObjective, parallelism int, opts PlanOptions) (PlanReport, EvalStats, error) {
+//
+// The zero PlanOptions is the exhaustive pass. Its adaptive options add
+// bound-based pruning against an incremental Pareto frontier (the evaluated
+// frontier is provably identical to the exhaustive run's), multi-axis
+// refinement of the numeric sweep axes next to frontier cells, and cost/time
+// budget constraints. Cancelling ctx keeps every plan made before it fired
+// bit-identical to an uncancelled run's; the rest carry an error wrapping
+// ctx.Err() (EvalStats.Cancelled), and the returned error is ctx's own.
+func PlanSuite(ctx context.Context, s Suite, objective PlanObjective, parallelism int, opts PlanOptions) (PlanReport, EvalStats, error) {
 	return planner.PlanSuiteCtx(ctx, s, objective, parallelism, opts)
 }
 
@@ -318,8 +297,8 @@ type (
 	// degree sequences, materialized graphs and Monte-Carlo maxᵢEᵢ kernel
 	// estimates.
 	CacheStats = registry.CacheStats
-	// EvalStats summarizes one EvaluateSuiteStats pass: cells evaluated
-	// versus deduped and the build-versus-sample wall-time split.
+	// EvalStats summarizes one EvaluateSuite or PlanSuite pass: cells
+	// evaluated versus deduped or pruned, and where the wall time went.
 	EvalStats = scenario.EvalStats
 )
 

@@ -8,7 +8,7 @@ import (
 
 // Budget is a process-wide parallelism budget: a counting semaphore sized to
 // a worker limit that every parallel layer draws from. Suite-level curve
-// workers (EvaluateAll) and intra-curve shards (parallel curve sampling,
+// workers (EvaluateStreamCtx) and intra-curve shards (parallel curve sampling,
 // Monte-Carlo trial sharding in package partition) acquire extra workers
 // from the same pool, so nesting the two levels cannot oversubscribe the
 // machine: a 10-curve suite on 8 cores spends the whole budget on curves and
@@ -68,22 +68,33 @@ func (b *Budget) Release(n int) {
 // body once per chunk, on the caller's goroutine plus as many extra workers
 // as the budget grants. body must be safe to call concurrently for disjoint
 // ranges; results indexed by position are deterministic at any parallelism.
-// Tokens are held until every chunk finishes. A panic in any chunk — even
-// one running on a spawned goroutine — is re-raised on the caller after all
-// chunks settle and the tokens return to the pool, so callers' recover-based
-// isolation (EvaluateAll's per-curve recovery) keeps working and the shared
-// budget cannot leak.
+// A panic in any chunk is re-raised on the caller (see spread).
 func (b *Budget) ParallelChunks(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	extra := b.TryAcquire(n - 1)
-	workers := extra + 1
-	chunk := func(w int) (int, int) {
-		return n * w / workers, n * (w + 1) / workers
+	b.spread(n, func(w, workers int) {
+		body(n*w/workers, n*(w+1)/workers)
+	})
+}
+
+// spread is the one fan-out every parallel helper shares. It grabs up to
+// want−1 extra-worker tokens (want ≤ 0 means as many as the budget holds),
+// then runs work(w, workers) for each w in [0, workers) — w = 0 on the
+// caller's goroutine, the rest on spawned ones — where workers is the count
+// actually granted. Tokens are held until every call returns. A panic in
+// any call — even one running on a spawned goroutine — is re-raised on the
+// caller after all settle and the tokens return to the pool, so callers'
+// recover-based isolation (the evaluator's per-curve recovery) keeps working
+// and the shared budget cannot leak.
+func (b *Budget) spread(want int, work func(w, workers int)) {
+	if want <= 0 {
+		want = b.limit
 	}
+	extra := b.TryAcquire(want - 1)
+	workers := extra + 1
 	panics := make(chan any, 1)
-	runChunk := func(lo, hi int) {
+	guarded := func(w int) {
 		defer func() {
 			if r := recover(); r != nil {
 				select {
@@ -92,19 +103,17 @@ func (b *Budget) ParallelChunks(n int, body func(lo, hi int)) {
 				}
 			}
 		}()
-		body(lo, hi)
+		work(w, workers)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		lo, hi := chunk(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runChunk(lo, hi)
+			guarded(w)
 		}()
 	}
-	lo, hi := chunk(0)
-	runChunk(lo, hi)
+	guarded(0)
 	wg.Wait()
 	b.Release(extra)
 	select {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -121,8 +122,8 @@ func TestEvaluateAllIsolatesPanicsInsideCurveSampling(t *testing.T) {
 	// path that crosses ParallelChunks goroutines — and must still become
 	// a per-job error instead of killing the process.
 	jobs := []Job{
-		{Name: "ok", Build: func() (Model, error) { return testModel("ok", 10, 1), nil }, Workers: Range(1, 8)},
-		{Name: "mid-curve panic", Build: func() (Model, error) {
+		{Name: "ok", BuildCtx: func(context.Context) (Model, error) { return testModel("ok", 10, 1), nil }, Workers: Range(1, 8)},
+		{Name: "mid-curve panic", BuildCtx: func(context.Context) (Model, error) {
 			m := testModel("mid-curve panic", 10, 1)
 			m.Computation = func(n int) units.Seconds {
 				if n == 5 {
@@ -133,7 +134,7 @@ func TestEvaluateAllIsolatesPanicsInsideCurveSampling(t *testing.T) {
 			return m, nil
 		}, Workers: Range(1, 8)},
 	}
-	results := EvaluateAll(jobs, 0)
+	results := evaluateAll(context.Background(), jobs, 0)
 	if results[0].Err != nil {
 		t.Fatalf("healthy job failed: %v", results[0].Err)
 	}

@@ -39,19 +39,29 @@ func drainBudget(t *testing.T) {
 func TestForEachCtxCancelVisitsPrefixOnly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 1000
-	var visited atomic.Int64
+	var hits [n]atomic.Int32
 	var once sync.Once
-	err := ForEachCtx(ctx, n, 4, func(i int) {
-		visited.Add(1)
+	ran := ForEachCtx(ctx, n, 4, func(i int) {
+		hits[i].Add(1)
 		if i >= 10 {
 			once.Do(cancel)
 		}
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("ctx.Err() = %v, want context.Canceled", ctx.Err())
 	}
-	if v := visited.Load(); v == 0 || v == n {
-		t.Fatalf("visited %d of %d indices; cancellation should stop mid-range", v, n)
+	if ran == 0 || ran == n {
+		t.Fatalf("ran %d of %d indices; cancellation should stop mid-range", ran, n)
+	}
+	// The indices that ran are exactly the prefix [0, ran).
+	for i := range hits {
+		want := int32(0)
+		if i < ran {
+			want = 1
+		}
+		if got := hits[i].Load(); got != want {
+			t.Fatalf("index %d ran %d times, want %d (prefix of %d)", i, got, want, ran)
+		}
 	}
 	drainBudget(t)
 }
@@ -67,7 +77,7 @@ func TestEvaluateAllCtxPartialResults(t *testing.T) {
 		name := fmt.Sprintf("job-%03d", i)
 		jobs[i] = Job{
 			Name: name,
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				if evaluated.Add(1) == 5 {
 					cancel()
 				}
@@ -76,7 +86,7 @@ func TestEvaluateAllCtxPartialResults(t *testing.T) {
 			Workers: workers,
 		}
 	}
-	results := EvaluateAllCtx(ctx, jobs, 4)
+	results := evaluateAll(ctx, jobs, 4)
 	if len(results) != n {
 		t.Fatalf("%d results for %d jobs", len(results), n)
 	}
@@ -120,9 +130,9 @@ func TestEvaluateStreamCtxCancelMidStream(t *testing.T) {
 		idx++
 		name := fmt.Sprintf("cell-%03d", i)
 		return StreamJob{Index: i, Job: Job{
-			Name:    name,
-			Build:   func() (Model, error) { return testModel(name, 100, 1), nil },
-			Workers: workers,
+			Name:     name,
+			BuildCtx: func(context.Context) (Model, error) { return testModel(name, 100, 1), nil },
+			Workers:  workers,
 		}}, true
 	}
 	var mu sync.Mutex
@@ -180,12 +190,12 @@ func TestEvaluateStreamCtxCancelledWaiter(t *testing.T) {
 	started := make(chan struct{})
 	var startOnce sync.Once
 	jobs := []StreamJob{
-		{Index: 0, Job: Job{Name: "rep", Key: "K", Workers: workers, Build: func() (Model, error) {
+		{Index: 0, Job: Job{Name: "rep", Key: "K", Workers: workers, BuildCtx: func(context.Context) (Model, error) {
 			startOnce.Do(func() { close(started) })
 			<-release
 			return testModel("rep", 100, 1), nil
 		}}},
-		{Index: 1, Job: Job{Name: "dup", Key: "K", Workers: workers, Build: func() (Model, error) {
+		{Index: 1, Job: Job{Name: "dup", Key: "K", Workers: workers, BuildCtx: func(context.Context) (Model, error) {
 			return testModel("dup", 100, 1), nil
 		}}},
 	}
@@ -252,7 +262,7 @@ func TestCancelledEvaluationEndsAllSpans(t *testing.T) {
 		name := fmt.Sprintf("span-job-%03d", i)
 		jobs[i] = Job{
 			Name: name,
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				if evaluated.Add(1) == 4 {
 					cancel()
 				}
@@ -261,7 +271,7 @@ func TestCancelledEvaluationEndsAllSpans(t *testing.T) {
 			Workers: workers,
 		}
 	}
-	results := EvaluateAllCtx(ctx, jobs, 4)
+	results := evaluateAll(ctx, jobs, 4)
 	if len(results) != n {
 		t.Fatalf("%d results for %d jobs", len(results), n)
 	}

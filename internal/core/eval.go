@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,27 +12,25 @@ import (
 )
 
 // Job is one curve to evaluate: a model builder plus the worker counts to
-// sample. Build runs inside the evaluation pool, so expensive construction
+// sample. BuildCtx runs inside the evaluation pool, so expensive construction
 // (graph generation, Monte-Carlo estimation) parallelizes along with curve
 // sampling.
 type Job struct {
 	// Name labels the job in results; it also labels errors.
 	Name string
-	// Build constructs the model. It runs once, in the pool.
-	Build func() (Model, error)
-	// BuildCtx, when non-nil, supersedes Build: it receives the evaluation
-	// context so construction-time work (Monte-Carlo kernels, cache waits)
-	// can observe cancellation. Context-blind callers keep using Build.
+	// BuildCtx constructs the model. It runs once, in the pool, and receives
+	// the evaluation context so construction-time work (Monte-Carlo kernels,
+	// cache waits) can observe cancellation.
 	BuildCtx func(ctx context.Context) (Model, error)
 	// Workers are the counts to sample.
 	Workers []int
 	// Base is the speedup reference count; 0 means 1.
 	Base int
 	// Key optionally fingerprints the job's model inputs. Jobs carrying
-	// equal non-empty keys are promised identical — same Build output, same
-	// Workers, same Base — so EvaluateAll evaluates the first occurrence
-	// and fans its curve out to the rest instead of recomputing it. Empty
-	// means never deduplicate.
+	// equal non-empty keys are promised identical — same BuildCtx output,
+	// same Workers, same Base — so EvaluateStreamCtx evaluates the first
+	// occurrence and fans its curve out to the rest instead of recomputing
+	// it. Empty means never deduplicate.
 	Key string
 }
 
@@ -83,53 +80,30 @@ func cancelResult(name string, err error) JobResult {
 	return JobResult{Name: name, Err: fmt.Errorf("core: job %q cancelled: %w", name, err)}
 }
 
-// ForEach runs body(i) for every i in [0, n), work-stealing indices over an
-// atomic counter on the caller's goroutine plus as many extra workers as the
-// shared parallelism budget grants. parallelism caps the workers within that
-// budget (≤ 0 means no extra cap — it cannot raise concurrency above the
+// ForEachCtx runs body(i) for every i in [0, n), work-stealing indices over
+// an atomic counter on the caller's goroutine plus as many extra workers as
+// the shared parallelism budget grants. parallelism caps the workers within
+// that budget (≤ 0 means no extra cap — it cannot raise concurrency above the
 // budget). Bodies that write results by index are deterministic at any
-// parallelism. A panic in any body — even one on a spawned goroutine — is
-// re-raised on the caller after all indices settle and the tokens return to
-// the pool, so recover-based isolation in callers keeps working and the
-// budget cannot leak. Suite evaluation (EvaluateAll) and planner grid
-// ranking both fan out through here, so they parallelize identically.
-func ForEach(n, parallelism int, body func(i int)) {
-	ForEachCtx(context.Background(), n, parallelism, body)
-}
-
-// ForEachCtx is ForEach under a context: once ctx is done, workers stop
-// pulling new indices (bodies already running finish — they are never
-// preempted) and ForEachCtx returns ctx.Err(). Indices are pulled in
-// ascending order, so the visited set is always a prefix [0, m) of the
-// range; callers that must fill every slot check the returned error and
-// complete the suffix themselves. Budget tokens are returned on every path,
-// cancelled or not.
-func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) error {
+// parallelism. A panic in any body is re-raised on the caller after all
+// indices settle and the tokens return to the pool (see Budget.spread).
+//
+// Once ctx is done, workers stop pulling new indices; bodies already running
+// finish — they are never preempted. Indices are pulled in ascending order,
+// so the ones that ran are always a prefix [0, m) of the range: ForEachCtx
+// returns m, and callers that must fill every slot complete [m, n)
+// themselves. m is n unless ctx fired.
+func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) int {
 	if n <= 0 {
-		return ctx.Err()
+		return 0
 	}
-	budget := SharedBudget()
-	workers := parallelism
-	if workers <= 0 {
-		workers = budget.Limit()
+	workers := n
+	if parallelism > 0 {
+		workers = min(parallelism, n)
 	}
-	if workers > n {
-		workers = n
-	}
-	extra := budget.TryAcquire(workers - 1)
-
 	done := ctx.Done()
-	panics := make(chan any, 1)
 	var next atomic.Int64
-	run := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				select {
-				case panics <- r:
-				default: // keep the first panic, drop the rest
-				}
-			}
-		}()
+	SharedBudget().spread(workers, func(int, int) {
 		for {
 			if done != nil {
 				select {
@@ -144,118 +118,8 @@ func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) error
 			}
 			body(i)
 		}
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < extra; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	budget.Release(extra)
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
-	}
-	return ctx.Err()
-}
-
-// EvaluateAll evaluates every job concurrently and returns one result per
-// job, in job order. Workers beyond the caller's own goroutine come from the
-// shared parallelism budget (via ForEach), so suite-level curve workers and
-// the intra-curve shards they spawn (parallel curve sampling, Monte-Carlo
-// trials) compose without oversubscribing the machine; parallelism caps the
-// suite-level workers on top of that (≤ 0 means no extra cap). A failing or
-// panicking job yields an error result without aborting the rest — per-curve
-// error isolation, so one bad scenario in a suite cannot take down the sweep.
-//
-// Jobs carrying equal non-empty Keys coalesce: only the first occurrence is
-// evaluated, and its curve fans out — relabeled with each duplicate's own
-// name and marked Deduped — to every duplicate's result slot, wherever in
-// the job order the duplicates appear. Duplicates of a job that failed are
-// evaluated individually instead, so their errors carry their own names
-// exactly as without dedup. Results are bit-identical with and without
-// dedup at any parallelism: the keys promise identical curves and every
-// model this module builds is deterministic.
-func EvaluateAll(jobs []Job, parallelism int) []JobResult {
-	return EvaluateAllCtx(context.Background(), jobs, parallelism)
-}
-
-// EvaluateAllCtx is EvaluateAll under a context. Every job still gets
-// exactly one result in job order; jobs not evaluated because ctx expired
-// carry an error wrapping ctx.Err() (see JobResult.IsCancelled), and jobs
-// evaluated before the cancellation are bit-identical to an uncancelled
-// run's. All budget tokens return to the pool on every path.
-func EvaluateAllCtx(ctx context.Context, jobs []Job, parallelism int) []JobResult {
-	results := make([]JobResult, len(jobs))
-	reps := make([]int, 0, len(jobs))
-	dupOf := make([]int, len(jobs))
-	byKey := make(map[string]int, len(jobs))
-	for i := range jobs {
-		dupOf[i] = i
-		if k := jobs[i].Key; k != "" {
-			if j, ok := byKey[k]; ok {
-				dupOf[i] = j
-				continue
-			}
-			byKey[k] = i
-		}
-		reps = append(reps, i)
-	}
-	// visited records which slots the (possibly cancelled) loop actually
-	// filled; each index is written by exactly one worker and read only
-	// after ForEachCtx's WaitGroup settles, so plain bools suffice. Skipped
-	// when the context can never fire.
-	var visited []bool
-	if ctx.Done() != nil {
-		visited = make([]bool, len(reps))
-	}
-	ForEachCtx(ctx, len(reps), parallelism, func(k int) {
-		if visited != nil {
-			visited[k] = true
-		}
-		results[reps[k]] = evaluateOne(ctx, jobs[reps[k]])
 	})
-	for k := range visited {
-		if !visited[k] {
-			results[reps[k]] = cancelResult(jobs[reps[k]].Name, ctx.Err())
-		}
-	}
-	var failedDups []int
-	for i := range jobs {
-		if dupOf[i] == i {
-			continue
-		}
-		rep := results[dupOf[i]]
-		if rep.Err != nil {
-			failedDups = append(failedDups, i)
-			continue
-		}
-		curve := rep.Curve
-		curve.Name = jobs[i].Name
-		results[i] = JobResult{Name: jobs[i].Name, Curve: curve, Deduped: true}
-		recordDedup(ctx, jobs[i].Name)
-	}
-	var dupVisited []bool
-	if ctx.Done() != nil {
-		dupVisited = make([]bool, len(failedDups))
-	}
-	ForEachCtx(ctx, len(failedDups), parallelism, func(k int) {
-		if dupVisited != nil {
-			dupVisited[k] = true
-		}
-		results[failedDups[k]] = evaluateOne(ctx, jobs[failedDups[k]])
-	})
-	for k := range dupVisited {
-		if !dupVisited[k] {
-			results[failedDups[k]] = cancelResult(jobs[failedDups[k]].Name, ctx.Err())
-		}
-	}
-	return results
+	return min(int(next.Load()), n)
 }
 
 // recordDedup emits an instant span marking a curve served by relabeling a
@@ -337,17 +201,13 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	if err := ctx.Err(); err != nil {
 		return cancelResult(job.Name, err)
 	}
-	build := job.Build
-	if job.BuildCtx != nil {
-		build = func() (Model, error) { return job.BuildCtx(ctx) }
-	}
-	if build == nil {
+	if job.BuildCtx == nil {
 		res.Err = fmt.Errorf("core: job %q has no builder", job.Name)
 		return res
 	}
 	start := time.Now()
 	_, bspan = obs.Start(ctx, "build")
-	model, err := build()
+	model, err := job.BuildCtx(ctx)
 	bspan.End()
 	res.BuildTime = time.Since(start)
 	if err != nil {

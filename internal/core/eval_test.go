@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -26,12 +27,12 @@ func TestEvaluateAllMatchesSerialCurves(t *testing.T) {
 		c := 100.0 + float64(i)
 		name := string(rune('a' + i))
 		jobs[i] = Job{
-			Name:    name,
-			Build:   func() (Model, error) { return testModel(name, c, 1), nil },
-			Workers: workers,
+			Name:     name,
+			BuildCtx: func(context.Context) (Model, error) { return testModel(name, c, 1), nil },
+			Workers:  workers,
 		}
 	}
-	got := EvaluateAll(jobs, 4)
+	got := evaluateAll(context.Background(), jobs, 4)
 	if len(got) != len(jobs) {
 		t.Fatalf("%d results for %d jobs", len(got), len(jobs))
 	}
@@ -59,14 +60,14 @@ func TestEvaluateAllIsolatesFailures(t *testing.T) {
 	workers := Range(1, 8)
 	boom := errors.New("boom")
 	jobs := []Job{
-		{Name: "ok-1", Build: func() (Model, error) { return testModel("ok-1", 10, 1), nil }, Workers: workers},
-		{Name: "build-error", Build: func() (Model, error) { return Model{}, boom }, Workers: workers},
-		{Name: "panics", Build: func() (Model, error) { panic("kaboom") }, Workers: workers},
+		{Name: "ok-1", BuildCtx: func(context.Context) (Model, error) { return testModel("ok-1", 10, 1), nil }, Workers: workers},
+		{Name: "build-error", BuildCtx: func(context.Context) (Model, error) { return Model{}, boom }, Workers: workers},
+		{Name: "panics", BuildCtx: func(context.Context) (Model, error) { panic("kaboom") }, Workers: workers},
 		{Name: "no-builder", Workers: workers},
-		{Name: "bad-workers", Build: func() (Model, error) { return testModel("bad-workers", 10, 1), nil }, Workers: []int{0}},
-		{Name: "ok-2", Build: func() (Model, error) { return testModel("ok-2", 10, 1), nil }, Workers: workers},
+		{Name: "bad-workers", BuildCtx: func(context.Context) (Model, error) { return testModel("bad-workers", 10, 1), nil }, Workers: []int{0}},
+		{Name: "ok-2", BuildCtx: func(context.Context) (Model, error) { return testModel("ok-2", 10, 1), nil }, Workers: workers},
 	}
-	results := EvaluateAll(jobs, 3)
+	results := evaluateAll(context.Background(), jobs, 3)
 	if results[0].Err != nil || results[5].Err != nil {
 		t.Fatalf("healthy jobs failed: %v / %v", results[0].Err, results[5].Err)
 	}
@@ -90,7 +91,7 @@ func TestEvaluateAllBoundsParallelism(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{
 			Name: "j",
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				now := active.Add(1)
 				for {
 					p := peak.Load()
@@ -105,18 +106,18 @@ func TestEvaluateAllBoundsParallelism(t *testing.T) {
 			Workers: []int{1, 2},
 		}
 	}
-	EvaluateAll(jobs, 3)
+	evaluateAll(context.Background(), jobs, 3)
 	if p := peak.Load(); p > 3 {
 		t.Errorf("pool ran %d jobs at once, bound is 3", p)
 	}
 	// Default parallelism runs them all too.
-	results := EvaluateAll(jobs, 0)
+	results := evaluateAll(context.Background(), jobs, 0)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	if len(EvaluateAll(nil, 4)) != 0 {
+	if len(evaluateAll(context.Background(), nil, 4)) != 0 {
 		t.Error("nil jobs produced results")
 	}
 }
@@ -124,16 +125,18 @@ func TestEvaluateAllBoundsParallelism(t *testing.T) {
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 3, 0} {
 		counts := make([]atomic.Int32, 100)
-		ForEach(len(counts), parallelism, func(i int) {
+		if ran := ForEachCtx(context.Background(), len(counts), parallelism, func(i int) {
 			counts[i].Add(1)
-		})
+		}); ran != len(counts) {
+			t.Fatalf("parallelism %d: ran %d of %d indices", parallelism, ran, len(counts))
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("parallelism %d: index %d ran %d times", parallelism, i, c)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Error("body ran for n = 0") })
+	ForEachCtx(context.Background(), 0, 4, func(int) { t.Error("body ran for n = 0") })
 }
 
 func TestForEachReRaisesPanics(t *testing.T) {
@@ -147,7 +150,7 @@ func TestForEachReRaisesPanics(t *testing.T) {
 			t.Error("no bodies ran")
 		}
 	}()
-	ForEach(50, 4, func(i int) {
+	ForEachCtx(context.Background(), 50, 4, func(i int) {
 		if i == 3 {
 			panic("boom")
 		}
@@ -166,7 +169,7 @@ func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
 		return Job{
 			Name: name,
 			Key:  key,
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return testModel(name, c, 1), nil
 			},
@@ -183,7 +186,7 @@ func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
 		job("a-3", "A", 100),
 		job("nokey-2", "", 100),
 	}
-	results := EvaluateAll(jobs, 2)
+	results := evaluateAll(context.Background(), jobs, 2)
 	if n := builds.Load(); n != 4 {
 		t.Errorf("%d models built, want 4 (A, B and the two unkeyed jobs)", n)
 	}
@@ -223,14 +226,14 @@ func TestEvaluateAllDedupFailedRepsRecompute(t *testing.T) {
 		return Job{
 			Name: name,
 			Key:  "K",
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return Model{}, errors.New("bad cell")
 			},
 			Workers: Range(1, 4),
 		}
 	}
-	results := EvaluateAll([]Job{bad("first"), bad("second"), bad("third")}, 1)
+	results := evaluateAll(context.Background(), []Job{bad("first"), bad("second"), bad("third")}, 1)
 	if n := builds.Load(); n != 3 {
 		t.Errorf("%d builds, want 3 (failed representatives do not fan out)", n)
 	}
@@ -246,12 +249,12 @@ func TestEvaluateAllDedupFailedRepsRecompute(t *testing.T) {
 
 func TestEvaluateAllRelativeBase(t *testing.T) {
 	jobs := []Job{{
-		Name:    "rel",
-		Build:   func() (Model, error) { return testModel("rel", 100, 0), nil },
-		Workers: []int{50, 100},
-		Base:    50,
+		Name:     "rel",
+		BuildCtx: func(context.Context) (Model, error) { return testModel("rel", 100, 0), nil },
+		Workers:  []int{50, 100},
+		Base:     50,
 	}}
-	res := EvaluateAll(jobs, 1)[0]
+	res := evaluateAll(context.Background(), jobs, 1)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

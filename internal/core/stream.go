@@ -14,49 +14,6 @@ type StreamJob struct {
 	Job Job
 }
 
-// ForEachStream is ForEach without a known count: workers pull indices from
-// next until it reports exhaustion, on the caller's goroutine plus as many
-// extra workers as the shared parallelism budget grants (parallelism caps
-// them within that budget; ≤ 0 means no extra cap). next is always called
-// under an internal lock, one pull at a time and in order, so a plain
-// closure over a counter is a valid source and the pull order is the stream
-// order at any parallelism. Panics in body or next are re-raised on the
-// caller after all workers settle and the tokens return to the pool, like
-// ForEach.
-func ForEachStream(parallelism int, next func() (int, bool), body func(i int)) {
-	ForEachStreamCtx(context.Background(), parallelism, next, body)
-}
-
-// ForEachStreamCtx is ForEachStream under a context: once ctx is done,
-// workers stop pulling (in-flight bodies finish) and the call returns
-// ctx.Err(). The pulled set is always a prefix of the stream. Budget tokens
-// return to the pool on every path.
-func ForEachStreamCtx(ctx context.Context, parallelism int, next func() (int, bool), body func(i int)) error {
-	var mu sync.Mutex
-	pull := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return next()
-	}
-	done := ctx.Done()
-	runStreamWorkers(parallelism, func() bool {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		i, ok := pull()
-		if !ok {
-			return false
-		}
-		body(i)
-		return true
-	})
-	return ctx.Err()
-}
-
 // streamEntry is the single-flight slot of one dedup key: the first puller
 // of the key evaluates, publishes res and closes done; later pullers wait.
 type streamEntry struct {
@@ -64,38 +21,40 @@ type streamEntry struct {
 	res  JobResult
 }
 
-// EvaluateStream is EvaluateAll over a pulled stream: jobs are drawn from
-// next one at a time — never held as a slice — evaluated concurrently on
-// the shared parallelism budget, and handed to emit as they complete. emit
-// receives each yielded job's Index exactly once and may be called
-// concurrently for distinct indices; next is called under an internal lock,
-// in stream order, so a CellSet-style sequential iterator is a valid
-// source.
+// EvaluateStreamCtx is the evaluator: jobs are drawn from next one at a
+// time — never held as a slice — evaluated concurrently on the shared
+// parallelism budget, and handed to emit as they complete. Workers beyond the
+// caller's own goroutine come from that budget, so suite-level curve workers
+// and the intra-curve shards they spawn (parallel curve sampling, Monte-Carlo
+// trials) compose without oversubscribing the machine; parallelism caps the
+// suite-level workers on top of it (≤ 0 means no extra cap). emit receives
+// each yielded job's Index exactly once and may be called concurrently for
+// distinct indices; next is called under an internal lock, in stream order,
+// so a CellSet-style sequential iterator is a valid source. A failing or
+// panicking job yields an error result without aborting the rest — per-curve
+// error isolation, so one bad scenario in a suite cannot take down the sweep.
 //
-// Dedup matches EvaluateAll bit for bit: jobs carrying equal non-empty Keys
-// coalesce single-flight, with the curve of the key's first occurrence —
-// pulls are serialized in stream order, so the representative is always the
-// earliest index — relabeled and marked Deduped on every later occurrence.
-// Duplicates of a failed representative evaluate individually, so their
-// errors carry their own names. Workers waiting on an in-flight
-// representative cannot deadlock: the representative is always owned by a
-// live worker (evaluateOne converts panics to error results before the
-// slot publishes).
-func EvaluateStream(next func() (StreamJob, bool), parallelism int, emit func(index int, res JobResult)) {
-	EvaluateStreamCtx(context.Background(), next, parallelism, emit)
-}
-
-// EvaluateStreamCtx is EvaluateStream under a context, with the guarantee
-// that cancellation still yields deterministic, complete accounting: every
-// job the stream yields is emitted exactly once. Once ctx is done, workers
-// stop evaluating and instead drain the remainder of the stream, emitting a
+// Jobs carrying equal non-empty Keys coalesce single-flight: pulls are
+// serialized in stream order, so the representative of a key is always its
+// earliest index, and its curve is relabeled with each later duplicate's own
+// name and marked Deduped. Duplicates of a failed representative evaluate
+// individually, so their errors carry their own names exactly as without
+// dedup. Results are bit-identical with and without dedup at any
+// parallelism: the keys promise identical curves and every model this module
+// builds is deterministic. Workers waiting on an in-flight representative
+// cannot deadlock: the representative is always owned by a live worker
+// (evaluateOne converts panics to error results before the slot publishes).
+//
+// Cancellation still yields deterministic, complete accounting: every job the
+// stream yields is emitted exactly once. Once ctx is done, workers stop
+// evaluating and instead drain the remainder of the stream, emitting a
 // cancelled result (error wrapping ctx.Err()) per job — cheap pull-and-tag,
-// no model work. Jobs evaluated before the cancellation are bit-identical
-// to an uncancelled run's. A duplicate waiting on an in-flight
-// representative abandons the wait when ctx fires and is emitted cancelled;
-// the representative's own evaluation finishes on its worker regardless, so
-// the single-flight slot always publishes and no waiter can be stranded.
-// Returns ctx.Err(). Budget tokens return to the pool on every path.
+// no model work. Jobs evaluated before the cancellation are bit-identical to
+// an uncancelled run's. A duplicate waiting on an in-flight representative
+// abandons the wait when ctx fires and is emitted cancelled; the
+// representative's own evaluation finishes on its worker regardless, so the
+// single-flight slot always publishes and no waiter can be stranded. Returns
+// ctx.Err(). Budget tokens return to the pool on every path.
 func EvaluateStreamCtx(ctx context.Context, next func() (StreamJob, bool), parallelism int, emit func(index int, res JobResult)) error {
 	var mu sync.Mutex
 	byKey := make(map[string]*streamEntry)
@@ -137,7 +96,7 @@ func EvaluateStreamCtx(ctx context.Context, next func() (StreamJob, bool), paral
 		}
 	}
 
-	runStreamWorkers(parallelism, func() bool {
+	step := func() bool {
 		if cancelled() {
 			// Drain mode: tag-and-emit the rest of the stream without
 			// evaluating, registering no new single-flight entries (a
@@ -182,50 +141,12 @@ func EvaluateStreamCtx(ctx context.Context, next func() (StreamJob, bool), paral
 			emit(t.sj.Index, evaluateOne(ctx, t.sj.Job))
 		}
 		return true
-	})
-	return ctx.Err()
-}
-
-// runStreamWorkers drives step — "pull one unit, process it, report whether
-// the stream had one" — on the caller plus budget-granted extras, with the
-// same panic re-raise discipline as ForEach. The stream length is unknown,
-// so the worker count is sized to the budget alone; workers that find the
-// stream dry exit immediately.
-func runStreamWorkers(parallelism int, step func() bool) {
-	budget := SharedBudget()
-	workers := parallelism
-	if workers <= 0 || workers > budget.Limit() {
-		workers = budget.Limit()
 	}
-	extra := budget.TryAcquire(workers - 1)
-
-	panics := make(chan any, 1)
-	run := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				select {
-				case panics <- r:
-				default: // keep the first panic, drop the rest
-				}
-			}
-		}()
+	// The stream length is unknown, so the worker count is sized to the
+	// budget alone; workers that find the stream dry exit immediately.
+	SharedBudget().spread(parallelism, func(int, int) {
 		for step() {
 		}
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < extra; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	budget.Release(extra)
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
-	}
+	})
+	return ctx.Err()
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,10 +28,12 @@ func streamFrom(jobs []Job, pulls *int) func() (StreamJob, bool) {
 	}
 }
 
-func collectStream(jobs []Job, parallelism int) []JobResult {
+// evaluateAll is the slice view of EvaluateStreamCtx: one result per job, in
+// job order.
+func evaluateAll(ctx context.Context, jobs []Job, parallelism int) []JobResult {
 	out := make([]JobResult, len(jobs))
 	var mu sync.Mutex
-	EvaluateStream(streamFrom(jobs, nil), parallelism, func(i int, res JobResult) {
+	EvaluateStreamCtx(ctx, streamFrom(jobs, nil), parallelism, func(i int, res JobResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		out[i] = res
@@ -41,9 +43,9 @@ func collectStream(jobs []Job, parallelism int) []JobResult {
 
 func testJob(name string, t float64) Job {
 	return Job{
-		Name:    name,
-		Build:   func() (Model, error) { return Model{Computation: constTime(t)}, nil },
-		Workers: Range(1, 4),
+		Name:     name,
+		BuildCtx: func(context.Context) (Model, error) { return Model{Computation: constTime(t)}, nil },
+		Workers:  Range(1, 4),
 	}
 }
 
@@ -51,56 +53,21 @@ func constTime(t float64) TimeFunc {
 	return func(n int) units.Seconds { return units.Seconds(t / float64(n)) }
 }
 
-func TestForEachStreamCoversEveryIndexOnce(t *testing.T) {
-	for _, parallel := range []int{1, 0, runtime.GOMAXPROCS(0)} {
-		const n = 137
-		i := 0
-		next := func() (int, bool) {
-			if i >= n {
-				return 0, false
-			}
-			i++
-			return i - 1, true
-		}
-		var hits [n]atomic.Int32
-		ForEachStream(parallel, next, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("parallel=%d: index %d visited %d times", parallel, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachStreamRepanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
-			t.Fatalf("recover() = %v, want the body's panic", r)
-		}
-	}()
-	i := 0
-	ForEachStream(2, func() (int, bool) { i++; return i, i <= 8 }, func(i int) {
-		if i == 3 {
-			panic("boom")
-		}
-	})
-}
-
 // TestEvaluateStreamMatchesEvaluateAll is the bit-identity check behind the
-// streaming suite path: same results, same dedup flags, at any parallelism.
+// streaming suite path: the same results, dedup flags and errors as a serial
+// pass, at any parallelism.
 func TestEvaluateStreamMatchesEvaluateAll(t *testing.T) {
 	jobs := []Job{
 		testJob("a", 8),
-		{Name: "b1", Build: func() (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
-		{Name: "b2", Build: func() (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
-		{Name: "fail1", Build: func() (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
-		{Name: "fail2", Build: func() (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
+		{Name: "b1", BuildCtx: func(context.Context) (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
+		{Name: "b2", BuildCtx: func(context.Context) (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
+		{Name: "fail1", BuildCtx: func(context.Context) (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
+		{Name: "fail2", BuildCtx: func(context.Context) (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
 		testJob("c", 2),
 	}
-	want := EvaluateAll(jobs, 1)
+	want := evaluateAll(context.Background(), jobs, 1)
 	for _, parallel := range []int{1, 0, runtime.GOMAXPROCS(0)} {
-		got := collectStream(jobs, parallel)
+		got := evaluateAll(context.Background(), jobs, parallel)
 		if len(got) != len(want) {
 			t.Fatalf("parallel=%d: %d results, want %d", parallel, len(got), len(want))
 		}
@@ -137,7 +104,7 @@ func TestEvaluateStreamDedupsOnce(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{
 			Name: fmt.Sprintf("cell-%d", i),
-			Build: func() (Model, error) {
+			BuildCtx: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return Model{Computation: constTime(6)}, nil
 			},
@@ -145,7 +112,7 @@ func TestEvaluateStreamDedupsOnce(t *testing.T) {
 			Key:     fmt.Sprintf("key-%d", i%4),
 		}
 	}
-	results := collectStream(jobs, 0)
+	results := evaluateAll(context.Background(), jobs, 0)
 	if got := builds.Load(); got != 4 {
 		t.Errorf("built %d models for 4 distinct keys", got)
 	}
@@ -175,7 +142,7 @@ func TestEvaluateStreamDedupsOnce(t *testing.T) {
 
 func TestEvaluateStreamEmptyStream(t *testing.T) {
 	calls := 0
-	EvaluateStream(func() (StreamJob, bool) { return StreamJob{}, false }, 4, func(int, JobResult) { calls++ })
+	EvaluateStreamCtx(context.Background(), func() (StreamJob, bool) { return StreamJob{}, false }, 4, func(int, JobResult) { calls++ })
 	if calls != 0 {
 		t.Fatalf("emit called %d times on an empty stream", calls)
 	}

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -180,12 +181,12 @@ func TestPrunedMatchesExhaustiveOnExampleSuites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		exhaustive, _, err := PlanSuiteOpts(s, "", 0, Options{})
+		exhaustive, _, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{})
 		if err != nil {
 			t.Fatalf("%s: exhaustive: %v", file, err)
 		}
 		for _, parallel := range []int{1, 0} {
-			pruned, stats, err := PlanSuiteOpts(s, "", parallel, Options{Prune: true})
+			pruned, stats, err := PlanSuiteCtx(context.Background(), s, "", parallel, Options{Prune: true})
 			if err != nil {
 				t.Fatalf("%s: pruned: %v", file, err)
 			}
@@ -255,7 +256,7 @@ func TestAdaptiveAcceptanceBigGrid(t *testing.T) {
 		t.Fatalf("grid has %d cells, need ≥ 10000", cs.Len())
 	}
 
-	exhaustive, exStats, err := PlanSuiteOpts(s, "", 0, Options{})
+	exhaustive, exStats, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestAdaptiveAcceptanceBigGrid(t *testing.T) {
 		t.Fatalf("exhaustive pass evaluated %d of %d cells", exStats.Evaluated, cs.Len())
 	}
 
-	pruned, stats, err := PlanSuiteOpts(s, "", 0, Options{Prune: true, RefineRounds: 2})
+	pruned, stats, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{Prune: true, RefineRounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestAdaptiveBudgetConstraints(t *testing.T) {
 	s.Sweep.Hardware = []string{"nvidia-k40"}
 	s.Sweep.PrecisionsBits = []float64{32}
 
-	free, _, err := PlanSuiteOpts(s, "", 0, Options{})
+	free, _, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestAdaptiveBudgetConstraints(t *testing.T) {
 	sort.Float64s(costs)
 	budget := costs[len(costs)/2]
 
-	constrained, stats, err := PlanSuiteOpts(s, "", 0, Options{MaxCost: budget})
+	constrained, stats, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{MaxCost: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestAdaptiveBudgetConstraints(t *testing.T) {
 		t.Error("no plan survived a median budget")
 	}
 
-	impossible, stats2, err := PlanSuiteOpts(s, "", 0, Options{MaxCost: costs[0] / 1e6})
+	impossible, stats2, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{MaxCost: costs[0] / 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestRefinementAddsInteriorCells(t *testing.T) {
 	s.Sweep.Hardware = []string{"xeon-e3-1240"}
 	s.Sweep.PrecisionsBits = []float64{32}
 
-	report, stats, err := PlanSuiteOpts(s, "", 0, Options{RefineRounds: 3})
+	report, stats, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{RefineRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,20 +431,21 @@ func TestRefinementAddsInteriorCells(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsBitIdentical pins PlanSuiteOpts{} to PlanSuite across
-// parallelism — the adaptive machinery must be invisible until asked for.
+// TestZeroOptionsBitIdentical pins the zero Options to a serial exhaustive
+// pass at any parallelism — the adaptive machinery must be invisible until
+// asked for.
 func TestZeroOptionsBitIdentical(t *testing.T) {
 	s := bigSuite(3, 2)
 	s.Sweep.Protocols = []string{"tree", "ring"}
 	s.Sweep.Hardware = []string{"", "dl980-core"}
 	s.Sweep.PrecisionsBits = []float64{32, 64}
 
-	want, err := PlanSuite(s, "", 1)
+	want, _, err := PlanSuiteCtx(context.Background(), s, "", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{1, 0} {
-		got, stats, err := PlanSuiteOpts(s, "", parallel, Options{})
+		got, stats, err := PlanSuiteCtx(context.Background(), s, "", parallel, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

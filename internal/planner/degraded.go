@@ -21,13 +21,8 @@ import (
 // the suite still answers. Entirely closed-form: no model construction,
 // no kernel cache traffic, deterministic at any parallelism.
 func PlanSuiteDegradedCtx(ctx context.Context, s scenario.Suite, objective Objective, parallelism int) (Report, error) {
-	if objective == "" {
-		obj, err := ParseObjective(s.Objective)
-		if err != nil {
-			return Report{}, err
-		}
-		objective = obj
-	} else if _, err := ParseObjective(string(objective)); err != nil {
+	objective, err := resolveObjective(s, objective)
+	if err != nil {
 		return Report{}, err
 	}
 	cs, err := s.Cells()
@@ -36,20 +31,11 @@ func PlanSuiteDegradedCtx(ctx context.Context, s scenario.Suite, objective Objec
 	}
 	n := cs.Len()
 	plans := make([]Plan, n)
-	var visited []bool
-	if ctx.Done() != nil {
-		visited = make([]bool, n)
-	}
-	core.ForEachCtx(ctx, n, parallelism, func(i int) {
-		if visited != nil {
-			visited[i] = true
-		}
+	ran := core.ForEachCtx(ctx, n, parallelism, func(i int) {
 		plans[i] = degradedPlan(cs.At(i))
 	})
-	for i := range visited {
-		if !visited[i] {
-			plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
-		}
+	for i := ran; i < n; i++ {
+		plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
 	}
 	rankPlans(plans, objective)
 	return Report{Suite: s.Name, Objective: objective, Degraded: true, Plans: plans}, ctx.Err()

@@ -16,8 +16,8 @@
 // iteration/batch notion, like the graph-inference families — degrades
 // gracefully to per-iteration ranking, with a one-line notice explaining the
 // downgrade. Suite planning fans out on the shared parallelism budget
-// (core.ForEach), so ranking a 100-cell grid parallelizes exactly like
-// EvaluateAll, and the output is bit-identical at any parallelism. Model
+// (core.ForEachCtx), so ranking a 100-cell grid parallelizes exactly like a
+// sweep, and the output is bit-identical at any parallelism. Model
 // construction goes through the registry's process-wide caches, so planner
 // probes — including the per-iteration fallbacks that price graph-inference
 // cells — reuse the Monte-Carlo kernel estimates a sweep (or an earlier
@@ -166,16 +166,16 @@ func cancelledPlan(sc scenario.Scenario, err error) Plan {
 	return Plan{Scenario: sc, Err: fmt.Errorf("planner: scenario %q cancelled: %w", sc.Name, err)}
 }
 
-// PlanSuite expands the suite and plans every scenario concurrently on the
-// shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
-// parallelism caps the suite-level workers within that budget, ≤ 0 meaning
-// no extra cap. objective overrides the suite's own objective field when
-// non-empty. Scenario errors isolate: a bad grid point yields a Plan with
-// Err set, ranked after every successful plan, and the rest of the suite
-// completes.
-func PlanSuite(s scenario.Suite, objective Objective, parallelism int) (Report, error) {
-	report, _, err := PlanSuiteOpts(s, objective, parallelism, Options{})
-	return report, err
+// resolveObjective validates an explicit objective, or resolves the empty
+// one to the suite's own (itself defaulting to tta).
+func resolveObjective(s scenario.Suite, objective Objective) (Objective, error) {
+	if objective == "" {
+		return ParseObjective(s.Objective)
+	}
+	if _, err := ParseObjective(string(objective)); err != nil {
+		return "", err
+	}
+	return objective, nil
 }
 
 // planOne builds the plan for one scenario, converting panics into errors so

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -227,7 +228,7 @@ func planByName(t *testing.T, r Report, name string) Plan {
 
 func TestPlanSuiteRankingAndPareto(t *testing.T) {
 	suite := planTestSuite()
-	report, err := PlanSuite(suite, ObjectivePareto, 0)
+	report, _, err := PlanSuiteCtx(context.Background(), suite, ObjectivePareto, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestPlanSuiteRankingAndPareto(t *testing.T) {
 	}
 
 	// The cost objective puts the cheapest run first.
-	byCost, err := PlanSuite(suite, ObjectiveCost, 0)
+	byCost, _, err := PlanSuiteCtx(context.Background(), suite, ObjectiveCost, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestPlanSuiteRankingAndPareto(t *testing.T) {
 	}
 
 	// The tta objective puts the fastest run first.
-	byTTA, err := PlanSuite(suite, ObjectiveTTA, 0)
+	byTTA, _, err := PlanSuiteCtx(context.Background(), suite, ObjectiveTTA, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestPlanSuiteRankingAndPareto(t *testing.T) {
 func TestPlanSuiteObjectiveResolution(t *testing.T) {
 	suite := planTestSuite()
 	suite.Objective = "cost"
-	report, err := PlanSuite(suite, "", 0)
+	report, _, err := PlanSuiteCtx(context.Background(), suite, "", 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,18 +322,18 @@ func TestPlanSuiteObjectiveResolution(t *testing.T) {
 		t.Errorf("suite objective not honored: %q", report.Objective)
 	}
 	// An explicit objective overrides the suite's.
-	report, err = PlanSuite(suite, ObjectiveTTA, 0)
+	report, _, err = PlanSuiteCtx(context.Background(), suite, ObjectiveTTA, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Objective != ObjectiveTTA {
 		t.Errorf("override not honored: %q", report.Objective)
 	}
-	if _, err := PlanSuite(suite, Objective("fastest"), 0); err == nil {
+	if _, _, err := PlanSuiteCtx(context.Background(), suite, Objective("fastest"), 0, Options{}); err == nil {
 		t.Error("bad override accepted")
 	}
 	suite.Objective = "fastest"
-	if _, err := PlanSuite(suite, "", 0); err == nil {
+	if _, _, err := PlanSuiteCtx(context.Background(), suite, "", 0, Options{}); err == nil {
 		t.Error("bad suite objective accepted")
 	}
 	if _, err := ParseObjective(""); err != nil {
@@ -365,7 +366,7 @@ func TestPlanSuiteDeterministicAtAnyParallelism(t *testing.T) {
 	})
 	plan := func(parallelism int) scenario.PlanReport {
 		core.SetParallelism(parallelism)
-		report, err := PlanSuite(suite, ObjectivePareto, 0)
+		report, _, err := PlanSuiteCtx(context.Background(), suite, ObjectivePareto, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +401,7 @@ func TestPlanSuiteColdVsWarmBitIdentical(t *testing.T) {
 		MaxWorkers: 10,
 	})
 	run := func() scenario.PlanReport {
-		report, err := PlanSuite(suite, ObjectiveTTA, 0)
+		report, _, err := PlanSuiteCtx(context.Background(), suite, ObjectiveTTA, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func TestPlanSuiteColdVsWarmBitIdentical(t *testing.T) {
 }
 
 func TestExportShape(t *testing.T) {
-	report, err := PlanSuite(planTestSuite(), ObjectivePareto, 0)
+	report, _, err := PlanSuiteCtx(context.Background(), planTestSuite(), ObjectivePareto, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,14 +111,7 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 		}
 		var pruned atomic.Int64
 		newPlans := make([]Plan, len(cand))
-		var visited []bool
-		if ctx.Done() != nil {
-			visited = make([]bool, len(cand))
-		}
-		core.ForEachCtx(rctx, len(cand), parallelism, func(k int) {
-			if visited != nil {
-				visited[k] = true
-			}
+		ran := core.ForEachCtx(rctx, len(cand), parallelism, func(k int) {
 			// Each frontier-adjacent probe plans through scenario.ModelCtx,
 			// which hints the candidate's full worker axis to the kernel —
 			// so an off-grid cell whose graph coordinates match a frontier
@@ -127,11 +120,9 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 			newPlans[k] = planCell(rctx, cand[k], boundFor(cand[k].Scenario), &frontier, opts, &pruned)
 			newPlans[k].Refined = true
 		})
-		for k := range visited {
-			if !visited[k] {
-				newPlans[k] = cancelledPlan(cand[k].Scenario, ctx.Err())
-				newPlans[k].Refined = true
-			}
+		for k := ran; k < len(cand); k++ {
+			newPlans[k] = cancelledPlan(cand[k].Scenario, ctx.Err())
+			newPlans[k].Refined = true
 		}
 		plans = append(plans, newPlans...)
 		cells = append(cells, cand...)

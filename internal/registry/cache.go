@@ -215,11 +215,3 @@ func ResetCaches() {
 	kernelBatchKeys.Store(0)
 	kernelSingles.Store(0)
 }
-
-// ResetGraphCache is the historical name of ResetCaches, kept as a wrapper.
-// It clears the estimate cache too: estimates are derived from cached
-// degree sequences, so clearing one layer but not the other would let a
-// benchmark label a half-warm measurement "cold".
-func ResetGraphCache() {
-	ResetCaches()
-}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -390,8 +391,8 @@ func TestGraphInferenceModelRejectsDegenerateInputs(t *testing.T) {
 }
 
 func TestGraphCacheReusesGeneration(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := GraphSpec{Family: "dns", Vertices: 4000, Seed: 21}
 	a, err := GraphDegrees(spec)
 	if err != nil {
@@ -427,8 +428,8 @@ func TestGraphCacheReusesGeneration(t *testing.T) {
 }
 
 func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := GraphSpec{Family: "power-law", Vertices: 3000, Edges: 15000, MaxDegree: 500, Seed: 4}
 	var wg sync.WaitGroup
 	results := make([][]int32, 16)
@@ -494,8 +495,8 @@ func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
 // the cap evicts the least recently used spec (which then regenerates) while
 // a recently touched spec stays cached.
 func TestGraphCacheEvictsLRU(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := func(i int) GraphSpec {
 		return GraphSpec{Family: "cycle", Vertices: 16 + i}
 	}
@@ -613,24 +614,29 @@ func TestGraphInferenceModelPropagatesEstimatorErrors(t *testing.T) {
 		Name:        "misuse",
 		Computation: func(n int) units.Seconds { return model.Time(n - 1) },
 	}
-	res := core.EvaluateAll([]core.Job{{
-		Name:    "misuse",
-		Build:   func() (core.Model, error) { return misuse, nil },
-		Workers: []int{1},
-		Base:    1,
-	}}, 1)
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "worker count 0 < 1") {
-		t.Errorf("estimator panic not converted into the job's error: %v", res[0].Err)
+	evaluate := func(name string, m core.Model, workers []int) (res core.JobResult) {
+		pulled := false
+		next := func() (core.StreamJob, bool) {
+			if pulled {
+				return core.StreamJob{}, false
+			}
+			pulled = true
+			return core.StreamJob{Job: core.Job{
+				Name:     name,
+				BuildCtx: func(context.Context) (core.Model, error) { return m, nil },
+				Workers:  workers,
+				Base:     1,
+			}}, true
+		}
+		core.EvaluateStreamCtx(context.Background(), next, 1, func(_ int, r core.JobResult) { res = r })
+		return res
+	}
+	if res := evaluate("misuse", misuse, []int{1}); res.Err == nil || !strings.Contains(res.Err.Error(), "worker count 0 < 1") {
+		t.Errorf("estimator panic not converted into the job's error: %v", res.Err)
 	}
 	// Valid worker counts on the same model keep evaluating cleanly.
-	ok := core.EvaluateAll([]core.Job{{
-		Name:    "valid",
-		Build:   func() (core.Model, error) { return model, nil },
-		Workers: []int{1, 2},
-		Base:    1,
-	}}, 1)
-	if ok[0].Err != nil {
-		t.Errorf("valid worker counts failed: %v", ok[0].Err)
+	if res := evaluate("valid", model, []int{1, 2}); res.Err != nil {
+		t.Errorf("valid worker counts failed: %v", res.Err)
 	}
 }
 

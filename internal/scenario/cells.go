@@ -7,11 +7,9 @@ import (
 	"dmlscale/internal/units"
 )
 
-// MaxStreamCells bounds lazily-iterated suite grids. It is deliberately far
-// above maxSuiteScenarios, the cap on materializing expansion (Expand):
-// streaming consumers (EvaluateSuite, the adaptive planner) hold one cell at
-// a time, so the guard only has to stop genuinely absurd grids, not
-// production-scale ones.
+// MaxStreamCells bounds suite grids. Consumers (the suite evaluator, the
+// planner) hold one cell at a time, so the guard only has to stop genuinely
+// absurd grids, not production-scale ones.
 const MaxStreamCells = 262144
 
 // Cell is one lazily-indexed grid point of a suite: the scenario itself plus
@@ -53,12 +51,12 @@ type sweepGrid struct {
 	total int
 }
 
-// grid validates the sweep's axes against the cap and pre-renders every axis
-// label once, so cells can be materialized individually in O(axes) with no
-// per-cell formatting. The incremental product check fires before any
-// per-cell work, so an absurd grid errors without allocating it; it also
-// keeps the product from overflowing.
-func (sw Sweep) grid(cap int) (*sweepGrid, error) {
+// grid validates the sweep's axes against MaxStreamCells and pre-renders
+// every axis label once, so cells can be materialized individually in
+// O(axes) with no per-cell formatting. The incremental product check fires
+// before any per-cell work, so an absurd grid errors without allocating it;
+// it also keeps the product from overflowing.
+func (sw Sweep) grid() (*sweepGrid, error) {
 	g := &sweepGrid{
 		base:       sw.Base,
 		protocols:  orDefault(sw.Protocols, ""),
@@ -70,8 +68,8 @@ func (sw Sweep) grid(cap int) (*sweepGrid, error) {
 	g.total = 1
 	for _, n := range []int{len(g.protocols), len(g.hardware), len(g.bandwidths), len(g.precisions), len(g.maxWorkers)} {
 		g.total *= n
-		if g.total > cap {
-			return nil, fmt.Errorf("scenario: sweep expands to at least %d scenarios, cap is %d", g.total, cap)
+		if g.total > MaxStreamCells {
+			return nil, fmt.Errorf("scenario: sweep expands to at least %d scenarios, cap is %d", g.total, MaxStreamCells)
 		}
 	}
 	for _, h := range g.hardware {
@@ -161,8 +159,8 @@ func disambiguate(labels []string) []string {
 }
 
 // cell materializes grid point i by odometer decomposition of the index —
-// protocols outermost, max workers innermost, matching Expand's historical
-// nesting so indices and names stay stable across the streaming rebase.
+// protocols outermost, max workers innermost — so indices and names are
+// stable across runs.
 func (g *sweepGrid) cell(i int) Cell {
 	rest := i
 	maxN := g.maxWorkers[rest%len(g.maxWorkers)]
@@ -215,8 +213,8 @@ func (g *sweepGrid) cell(i int) Cell {
 
 // CellSet is a validated, lazily-indexable view of a suite's cells: the
 // explicit scenarios followed by the sweep grid. It materializes nothing up
-// front — At builds one cell in O(axes) — so streaming consumers can walk
-// grids far past the Expand cap without holding them.
+// front — At builds one cell in O(axes) — so consumers can walk large grids
+// without holding them.
 type CellSet struct {
 	explicit []Scenario
 	grid     *sweepGrid
@@ -224,17 +222,12 @@ type CellSet struct {
 	total    int
 }
 
-// Cells validates the suite exactly like Expand — name, emptiness,
-// objective, worker-bound conflict, explicit duplicate names — and returns
-// its lazy cell view, capped at MaxStreamCells instead of the materializing
-// cap. Sweep-generated names are unique by construction (see disambiguate),
-// so only the explicit list needs a duplicate scan here.
+// Cells is the suite's one enumerator: it validates the suite — name,
+// emptiness, objective, worker-bound conflict, explicit duplicate names —
+// and returns its lazy cell view, capped at MaxStreamCells. Sweep-generated
+// names are unique by construction (see disambiguate), so only the explicit
+// list needs a duplicate scan.
 func (s Suite) Cells() (*CellSet, error) {
-	return s.cells(MaxStreamCells)
-}
-
-// cells is Cells with a caller-chosen grid cap, shared with Expand.
-func (s Suite) cells(cap int) (*CellSet, error) {
 	if err := s.validateShape(); err != nil {
 		return nil, err
 	}
@@ -257,12 +250,12 @@ func (s Suite) cells(cap int) (*CellSet, error) {
 	}
 	cs.total = len(cs.explicit)
 	if s.Sweep != nil {
-		g, err := s.Sweep.grid(cap)
+		g, err := s.Sweep.grid()
 		if err != nil {
 			return nil, fmt.Errorf("scenario: suite %q: %w", s.Name, err)
 		}
-		if cs.total+g.total > cap {
-			return nil, fmt.Errorf("scenario: suite %q expands to %d scenarios, cap is %d", s.Name, cs.total+g.total, cap)
+		if cs.total+g.total > MaxStreamCells {
+			return nil, fmt.Errorf("scenario: suite %q expands to %d scenarios, cap is %d", s.Name, cs.total+g.total, MaxStreamCells)
 		}
 		cs.grid = g
 		cs.total += g.total
@@ -270,7 +263,7 @@ func (s Suite) cells(cap int) (*CellSet, error) {
 	return cs, nil
 }
 
-// validateShape holds the suite-level checks shared by Expand and Cells.
+// validateShape holds the suite-level checks of Cells.
 func (s Suite) validateShape() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: suite: missing name")
@@ -297,7 +290,7 @@ func (cs *CellSet) Len() int {
 }
 
 // At materializes cell i. The suite-level worker override is stamped here,
-// so explicit and grid cells agree with what Expand would have produced.
+// so explicit and grid cells carry the same bound.
 func (cs *CellSet) At(i int) Cell {
 	if i < len(cs.explicit) {
 		return Cell{Index: i, Scenario: cs.explicit[i]}
@@ -312,7 +305,7 @@ func (cs *CellSet) At(i int) Cell {
 
 // Next returns a sequential pull iterator over the cells. The returned
 // closure is not safe for concurrent use — streaming evaluators serialize
-// pulls themselves (core.EvaluateStream), which is what keeps cell dedup
+// pulls themselves (core.EvaluateStreamCtx), which is what keeps cell dedup
 // deterministic: the first registrant of a model key is always the
 // lowest-indexed cell.
 func (cs *CellSet) Next() func() (Cell, bool) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -25,30 +26,55 @@ func sweepSuite() Suite {
 	}
 }
 
-// TestCellsMatchExpand pins the lazy iterator to the materializing path:
-// same length, same scenarios, same names, in the same order.
+// expand materializes every cell of the suite, in cell order.
+func expand(s Suite) ([]Scenario, error) {
+	cs, err := s.Cells()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Scenario, cs.Len())
+	for i := range out {
+		out[i] = cs.At(i).Scenario
+	}
+	return out, nil
+}
+
+// expandSweep materializes a bare sweep as a one-sweep suite.
+func expandSweep(sw Sweep) ([]Scenario, error) {
+	return expand(Suite{Name: "sweep", Sweep: &sw})
+}
+
+// TestCellsMatchExpand pins the cell order: the explicit scenarios first,
+// then the grid with protocols outermost and max workers innermost, and
+// Next yields exactly the cells At materializes.
 func TestCellsMatchExpand(t *testing.T) {
 	s := sweepSuite()
 	s.Scenarios = []Scenario{Fig3()}
-	want, err := s.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cs, err := s.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Len() != len(want) {
-		t.Fatalf("Cells().Len() = %d, Expand() = %d", cs.Len(), len(want))
+	if cs.Len() != 1+32 {
+		t.Fatalf("Cells().Len() = %d, want 33", cs.Len())
+	}
+	for i, want := range map[int]string{
+		0:  Fig3().Name,
+		1:  "grid, spark, 1 Gbit/s, 32-bit, ≤8 workers",
+		2:  "grid, spark, 1 Gbit/s, 32-bit, ≤16 workers",
+		32: "grid, tree, dl980-core, 10 Gbit/s, 64-bit, ≤16 workers",
+	} {
+		if got := cs.At(i).Scenario.Name; got != want {
+			t.Errorf("At(%d) = %q, want %q", i, got, want)
+		}
 	}
 	next := cs.Next()
-	for i := range want {
-		if got := cs.At(i).Scenario; got.Name != want[i].Name || got.EvalKey() != want[i].EvalKey() {
-			t.Errorf("At(%d) = %q/%q, want %q/%q", i, got.Name, got.EvalKey(), want[i].Name, want[i].EvalKey())
-		}
+	for i := 0; i < cs.Len(); i++ {
 		c, ok := next()
 		if !ok || c.Index != i {
 			t.Fatalf("Next() yielded index %d (ok=%v), want %d", c.Index, ok, i)
+		}
+		if at := cs.At(i).Scenario; c.Scenario.Name != at.Name || c.Scenario.EvalKey() != at.EvalKey() {
+			t.Errorf("Next() cell %d = %q, At = %q", i, c.Scenario.Name, at.Name)
 		}
 	}
 	if _, ok := next(); ok {
@@ -86,7 +112,7 @@ func TestCellsStampSweptAxes(t *testing.T) {
 func TestSweepHardwareAxis(t *testing.T) {
 	base := Fig2()
 	base.Name = "hw"
-	scenarios, err := (Sweep{Base: base, Hardware: []string{"", "dl980-core"}}).Expand()
+	scenarios, err := expandSweep(Sweep{Base: base, Hardware: []string{"", "dl980-core"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +128,7 @@ func TestSweepHardwareAxis(t *testing.T) {
 	if scenarios[0].Name == scenarios[1].Name {
 		t.Errorf("hardware cells share the name %q", scenarios[0].Name)
 	}
-	if _, err := (Sweep{Base: base, Hardware: []string{"abacus"}}).Expand(); err == nil {
+	if _, err := expandSweep(Sweep{Base: base, Hardware: []string{"abacus"}}); err == nil {
 		t.Error("unknown preset on the hardware axis expanded")
 	}
 }
@@ -118,7 +144,7 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 		BandwidthsBitsPerSec: []float64{1e9, 1e9 + 1, 2e9},
 		MaxWorkers:           []int{8, 16},
 	}
-	scenarios, err := sw.Expand()
+	scenarios, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +170,7 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 		t.Errorf("%d tagged names (want 4) in %v", tagged, seen)
 	}
 	// Determinism: a second expansion renders the same names.
-	again, err := sw.Expand()
+	again, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +186,14 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 // bit-identical, dedup flags included.
 func TestEvaluateSuiteStreamingBitIdentical(t *testing.T) {
 	s := sweepSuite()
-	want, stats, err := EvaluateSuiteStats(s, 1)
+	want, stats, err := EvaluateSuiteStatsCtx(context.Background(), s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Pruned != 0 || stats.Refined != 0 || stats.RefineRounds != 0 {
 		t.Errorf("plain evaluation reported adaptive stats %+v", stats)
 	}
-	got, _, err := EvaluateSuiteStats(s, runtime.GOMAXPROCS(0))
+	got, _, err := EvaluateSuiteStatsCtx(context.Background(), s, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +220,8 @@ func TestEvaluateSuiteStreamingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCellsCapPastExpand checks the streaming cap sits far above the
-// materializing one: a grid Expand rejects still iterates lazily.
+// TestCellsCapPastExpand checks a 10000-cell grid validates and iterates
+// lazily, one cell at a time.
 func TestCellsCapPastExpand(t *testing.T) {
 	base := Fig2()
 	base.Name = "big"
@@ -208,9 +234,6 @@ func TestCellsCapPastExpand(t *testing.T) {
 		workers[i] = i + 2
 	}
 	s := Suite{Name: "big grid", Sweep: &Sweep{Base: base, BandwidthsBitsPerSec: bw, MaxWorkers: workers}}
-	if _, err := s.Expand(); err == nil {
-		t.Fatal("10000-cell grid materialized past the Expand cap")
-	}
 	cs, err := s.Cells()
 	if err != nil {
 		t.Fatal(err)

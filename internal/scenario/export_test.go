@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -21,7 +22,7 @@ func exportSuite() Suite {
 }
 
 func TestResultsJSONRoundTrip(t *testing.T) {
-	results, err := EvaluateSuite(exportSuite(), 0)
+	results, _, err := EvaluateSuiteStatsCtx(context.Background(), exportSuite(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 }
 
 func TestResultsCSVShape(t *testing.T) {
-	results, err := EvaluateSuite(exportSuite(), 0)
+	results, _, err := EvaluateSuiteStatsCtx(context.Background(), exportSuite(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -128,15 +129,23 @@ func FuzzDecodeSuite(f *testing.F) {
 		if err != nil {
 			return
 		}
-		scenarios, err := s.Expand()
+		cs, err := s.Cells()
 		if err != nil {
 			return
 		}
-		if len(scenarios) > maxSuiteScenarios {
-			t.Fatalf("expansion escaped the cap: %d scenarios", len(scenarios))
+		if cs.Len() > MaxStreamCells {
+			t.Fatalf("expansion escaped the cap: %d scenarios", cs.Len())
 		}
 		// Keep fuzz iterations fast: skip evaluation of mutated suites
-		// that request big graphs or wide curves (valid, just slow).
+		// that request big grids, big graphs or wide curves (valid, just
+		// slow).
+		if cs.Len() > 4096 {
+			return
+		}
+		scenarios, err := expand(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sc := range scenarios {
 			if sc.Workload.Graph != nil && sc.Workload.Graph.Vertices > 100000 {
 				return
@@ -147,7 +156,7 @@ func FuzzDecodeSuite(f *testing.F) {
 		}
 		// Accepted suites must evaluate without panicking; individual
 		// scenarios may fail, isolated in their Result.
-		results, err := EvaluateSuite(Suite{Name: "fuzz", Scenarios: scenarios}, 4)
+		results, _, err := EvaluateSuiteStatsCtx(context.Background(), Suite{Name: "fuzz", Scenarios: scenarios}, 4)
 		if err != nil && len(scenarios) > 0 {
 			// Expansion succeeded above, so only duplicate names can
 			// legitimately stop evaluation here.

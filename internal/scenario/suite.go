@@ -64,26 +64,6 @@ type Sweep struct {
 	MaxWorkers []int `json:"max_workers,omitempty"`
 }
 
-// maxSuiteScenarios bounds suite expansion so a malformed sweep cannot
-// request a combinatorial explosion.
-const maxSuiteScenarios = 4096
-
-// Expand returns the sweep's scenarios: one per grid point, named after the
-// base plus the swept values. It is a thin collector over the lazy grid
-// (see cells.go), kept for callers that want the whole slice; the cap guard
-// fires before any cell materializes.
-func (sw Sweep) Expand() ([]Scenario, error) {
-	g, err := sw.grid(maxSuiteScenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Scenario, g.total)
-	for i := range out {
-		out[i] = g.cell(i).Scenario
-	}
-	return out, nil
-}
-
 // firstBandwidth returns the spec's own bandwidth — resolving a network
 // preset to its cataloged rate — or, for composite specs that carry none
 // themselves, the first positive bandwidth among the inner leaves.
@@ -123,29 +103,6 @@ func withBandwidth(p ProtocolSpec, b float64) ProtocolSpec {
 	return p
 }
 
-// Expand returns every scenario the suite declares: the explicit list
-// followed by the sweep grid, with the suite-level MaxWorkers override
-// applied. It is the materializing view over Cells, kept to the historical
-// cap; streaming consumers walk Cells directly and may go far beyond it.
-// Materializing re-checks names globally (explicit versus grid), which the
-// lazy view cannot afford.
-func (s Suite) Expand() ([]Scenario, error) {
-	cs, err := s.cells(maxSuiteScenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Scenario, cs.Len())
-	seen := make(map[string]bool, len(out))
-	for i := range out {
-		out[i] = cs.At(i).Scenario
-		if seen[out[i].Name] {
-			return nil, fmt.Errorf("scenario: suite %q: duplicate scenario name %q", s.Name, out[i].Name)
-		}
-		seen[out[i].Name] = true
-	}
-	return out, nil
-}
-
 // validObjective reports whether name is a cataloged planner objective.
 func validObjective(name string) bool {
 	return slices.Contains(Objectives(), name)
@@ -180,8 +137,8 @@ type Result struct {
 // so under parallel evaluation the two durations add up to more than the
 // elapsed time).
 type EvalStats struct {
-	// Scenarios is the number of expanded cells: Evaluated + CurvesDeduped
-	// + Failed.
+	// Scenarios is the number of cells: Evaluated + CurvesDeduped + Failed
+	// + Cancelled, plus ResumedCells on sweeps and Pruned on plans.
 	Scenarios int
 	// Evaluated counts cells that built and sampled their own model
 	// successfully.
@@ -194,8 +151,7 @@ type EvalStats struct {
 	Failed int
 	// Cancelled counts cells abandoned because the evaluation context was
 	// cancelled or its deadline expired (their Result.Err wraps the context
-	// error). Always 0 for context-less passes; Scenarios = Evaluated +
-	// CurvesDeduped + Failed + Cancelled.
+	// error).
 	Cancelled int
 	// BuildTime is the summed model-construction time (catalog resolution,
 	// graph generation); SampleTime is the summed curve-sampling time
@@ -286,41 +242,7 @@ func RecordCellTiming(top []CellTiming, ct CellTiming) []CellTiming {
 	return top
 }
 
-// EvaluateSuite expands the suite and computes every curve concurrently on
-// the shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
-// parallelism caps the suite-level workers within that budget, ≤ 0 meaning
-// no extra cap. Scenario errors isolate: a bad grid point yields a Result
-// with Err set and the rest of the suite completes. Cells that describe the
-// same model under different labels — equal canonical inputs, i.e. the
-// scenario minus its name and convergence block — are evaluated once and
-// fanned out (see Result.Deduped).
-func EvaluateSuite(s Suite, parallelism int) ([]Result, error) {
-	results, _, err := EvaluateSuiteStats(s, parallelism)
-	return results, err
-}
-
-// EvaluateSuiteStats is EvaluateSuite plus the pass's evaluation stats —
-// the suite-level half of the cache observability surface (the process-wide
-// kernel caches report through registry.SnapshotCaches).
-//
-// Cells are pulled lazily through core.EvaluateStream rather than expanded
-// up front, so grids beyond the materializing Expand cap (up to
-// MaxStreamCells) evaluate in one pass and the job list is never held
-// whole. Results, dedup flags and errors are bit-identical with the
-// materialized EvaluateAll path at any parallelism: pulls are serialized in
-// index order, so the representative of every model key is still its
-// first occurrence.
-func EvaluateSuiteStats(s Suite, parallelism int) ([]Result, EvalStats, error) {
-	return EvaluateSuiteStatsCtx(context.Background(), s, parallelism)
-}
-
-// EvaluateSuiteStatsCtx is EvaluateSuiteStats under a context. Cancellation
-// yields deterministic partial results: every cell still gets exactly one
-// Result — cells evaluated before ctx fired are bit-identical to an
-// uncancelled run's, the rest carry an error wrapping ctx.Err() and count
-// in EvalStats.Cancelled — and the suite-level error is ctx's, so callers
-// can distinguish "suite invalid" from "run abandoned" while still
-// rendering what completed.
+// EvaluateSuiteStatsCtx is EvaluateSuiteCheckpointCtx without a checkpoint.
 func EvaluateSuiteStatsCtx(ctx context.Context, s Suite, parallelism int) ([]Result, EvalStats, error) {
 	return EvaluateSuiteCheckpointCtx(ctx, s, parallelism, nil)
 }
@@ -340,16 +262,38 @@ type Checkpoint interface {
 	Save(index int, name string, rec ResultRecord)
 }
 
-// EvaluateSuiteCheckpointCtx is EvaluateSuiteStatsCtx with a checkpoint:
-// cells Lookup finds are replayed as finished results — never re-evaluated,
-// counted in EvalStats.ResumedCells — and every newly successful cell is
-// handed to Save, so a later resume skips it too. A nil cp is exactly
-// EvaluateSuiteStatsCtx. Replayed results are bit-identical to what the
-// original run computed (the journal stores full curves, and every model
-// is deterministic), so an interrupted-then-resumed run merges to the same
-// bytes as an uninterrupted one. A replayed cell does not register its
-// dedup key — duplicates of it evaluate individually, trading a little
-// recompute for never trusting a curve the journal cannot vouch for.
+// EvaluateSuiteCheckpointCtx computes every curve of the suite concurrently
+// on the shared parallelism budget (core.SetParallelism, default
+// GOMAXPROCS), plus the pass's evaluation stats; parallelism caps the
+// suite-level workers within that budget, ≤ 0 meaning no extra cap. Scenario
+// errors isolate: a bad grid point yields a Result with Err set and the rest
+// of the suite completes. Cells that describe the same model under different
+// labels — equal canonical inputs, i.e. the scenario minus its name and
+// convergence block — are evaluated once and fanned out (see
+// Result.Deduped).
+//
+// Cells are pulled lazily through core.EvaluateStreamCtx, so grids up to
+// MaxStreamCells evaluate in one pass and the job list is never held whole.
+// Pulls are serialized in index order, so the representative of every model
+// key is its first occurrence and results are bit-identical at any
+// parallelism.
+//
+// Cancellation yields deterministic partial results: every cell still gets
+// exactly one Result — cells evaluated before ctx fired are bit-identical to
+// an uncancelled run's, the rest carry an error wrapping ctx.Err() and count
+// in EvalStats.Cancelled — and the suite-level error is ctx's, so callers
+// can distinguish "suite invalid" from "run abandoned" while still rendering
+// what completed.
+//
+// With a non-nil cp, cells Lookup finds are replayed as finished results —
+// never re-evaluated, counted in EvalStats.ResumedCells — and every newly
+// successful cell is handed to Save, so a later resume skips it too.
+// Replayed results are bit-identical to what the original run computed (the
+// journal stores full curves, and every model is deterministic), so an
+// interrupted-then-resumed run merges to the same bytes as an uninterrupted
+// one. A replayed cell does not register its dedup key — duplicates of it
+// evaluate individually, trading a little recompute for never trusting a
+// curve the journal cannot vouch for.
 func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, cp Checkpoint) ([]Result, EvalStats, error) {
 	cs, err := s.Cells()
 	if err != nil {
@@ -477,8 +421,8 @@ func DecodeSuite(r io.Reader) (Suite, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Suite{}, fmt.Errorf("scenario: suite: decode: %w", err)
 	}
-	// Validate through the lazy view: suite files may declare grids past
-	// the materializing Expand cap, and loading one must not expand it.
+	// Validate through the lazy view: loading a suite must not expand its
+	// grid.
 	if _, err := s.Cells(); err != nil {
 		return Suite{}, err
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func testSuite() Suite {
 
 func TestSuiteExpansion(t *testing.T) {
 	suite := testSuite()
-	scenarios, err := suite.Expand()
+	scenarios, err := expand(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSweepBandwidthDoesNotAliasComposedBase(t *testing.T) {
 		},
 	}
 	sweep := Sweep{Base: base, BandwidthsBitsPerSec: []float64{1e9, 1e10}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSweepKeepsBaseParamsForMatchingKind(t *testing.T) {
 	base := Fig2()
 	base.Protocol = ProtocolSpec{Kind: "pipelined-tree", BandwidthBitsPerSec: 1e9, Chunks: 8}
 	sweep := Sweep{Base: base, Protocols: []string{"pipelined-tree", "ring"}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSweepComposedBaseProtocolAxis(t *testing.T) {
 		},
 	}
 	sweep := Sweep{Base: base, Protocols: []string{"ring"}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSweepCapFiresBeforeMaterializing(t *testing.T) {
 		MaxWorkers:           []int{8, 16, 32},
 	}
 	// 100000 × 100000 × 3 grid points: must error fast, not allocate.
-	if _, err := sweep.Expand(); err == nil {
+	if _, err := expandSweep(sweep); err == nil {
 		t.Fatal("oversized grid accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestSweepCapFiresBeforeMaterializing(t *testing.T) {
 func TestSuiteMaxWorkersOverride(t *testing.T) {
 	suite := testSuite()
 	suite.MaxWorkers = 24
-	scenarios, err := suite.Expand()
+	scenarios, err := expand(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,12 @@ func TestSuiteMaxWorkersConflictsWithSweptAxis(t *testing.T) {
 		MaxWorkers: 32,
 		Sweep:      &Sweep{Base: Fig2(), MaxWorkers: []int{8, 16}},
 	}
-	if _, err := suite.Expand(); err == nil {
+	if _, err := expand(suite); err == nil {
 		t.Fatal("conflicting worker bounds accepted")
 	}
 	// Without the suite-level override the axis sweeps cleanly.
 	suite.MaxWorkers = 0
-	scenarios, err := suite.Expand()
+	scenarios, err := expand(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,20 +190,20 @@ func TestSuiteMaxWorkersConflictsWithSweptAxis(t *testing.T) {
 }
 
 func TestSuiteRejectsBadShapes(t *testing.T) {
-	if _, err := (Suite{}).Expand(); err == nil {
+	if _, err := expand(Suite{}); err == nil {
 		t.Error("empty suite accepted")
 	}
-	if _, err := (Suite{Name: "x"}).Expand(); err == nil {
+	if _, err := expand(Suite{Name: "x"}); err == nil {
 		t.Error("suite without scenarios accepted")
 	}
 	dup := Suite{Name: "x", Scenarios: []Scenario{Fig2(), Fig2()}}
-	if _, err := dup.Expand(); err == nil {
+	if _, err := expand(dup); err == nil {
 		t.Error("duplicate names accepted")
 	}
 	big := Suite{Name: "x", Sweep: &Sweep{
 		Base:                 Fig2(),
-		BandwidthsBitsPerSec: make([]float64, 100),
-		PrecisionsBits:       make([]float64, 100),
+		BandwidthsBitsPerSec: make([]float64, 1000),
+		PrecisionsBits:       make([]float64, 1000),
 	}}
 	for i := range big.Sweep.BandwidthsBitsPerSec {
 		big.Sweep.BandwidthsBitsPerSec[i] = float64(i+1) * 1e9
@@ -210,8 +211,8 @@ func TestSuiteRejectsBadShapes(t *testing.T) {
 	for i := range big.Sweep.PrecisionsBits {
 		big.Sweep.PrecisionsBits[i] = float64(i + 1)
 	}
-	if _, err := big.Expand(); err == nil {
-		t.Error("10000-scenario expansion accepted")
+	if _, err := expand(big); err == nil {
+		t.Error("1000000-scenario expansion accepted")
 	}
 }
 
@@ -219,11 +220,11 @@ func TestSuiteRejectsBadShapes(t *testing.T) {
 // results match a serial evaluation.
 func TestEvaluateSuiteConcurrently(t *testing.T) {
 	suite := testSuite()
-	parallel, err := EvaluateSuite(suite, 0)
+	parallel, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := EvaluateSuite(suite, 1)
+	serial, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 	alias.Scaling = ""
 	alias.Workload.Family = "gd-strong"
 	suite := Suite{Name: "dedup", Scenarios: []Scenario{a, distinct, a2, alias}}
-	results, stats, err := EvaluateSuiteStats(suite, 0)
+	results, stats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 		}
 	}
 	// Bit-identity with a standalone evaluation of the duplicate.
-	solo, err := EvaluateSuite(Suite{Name: "solo", Scenarios: []Scenario{a2}}, 0)
+	solo, _, err := EvaluateSuiteStatsCtx(context.Background(), Suite{Name: "solo", Scenarios: []Scenario{a2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 			BandwidthsBitsPerSec: []float64{1e9, 10e9},
 		},
 	}
-	cold, coldStats, err := EvaluateSuiteStats(suite, 0)
+	cold, coldStats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 	if missesAfterCold != 12 {
 		t.Errorf("cold pass performed %d estimations, want 12 (one per worker count)", missesAfterCold)
 	}
-	warm, warmStats, err := EvaluateSuiteStats(suite, 0)
+	warm, warmStats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestEvaluateSuiteIsolatesBadScenario(t *testing.T) {
 	bad.Hardware = HardwareSpec{Preset: "abacus"}
 	suite := testSuite()
 	suite.Scenarios = append(suite.Scenarios, bad)
-	results, stats, err := EvaluateSuiteStats(suite, 0)
+	results, stats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +402,11 @@ func TestSuiteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := testSuite().Expand()
+	a, err := expand(testSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Expand()
+	b, err := expand(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,15 +436,15 @@ func TestSuiteObjectiveValidation(t *testing.T) {
 	s := testSuite()
 	for _, obj := range Objectives() {
 		s.Objective = obj
-		if _, err := s.Expand(); err != nil {
+		if _, err := expand(s); err != nil {
 			t.Errorf("objective %q rejected: %v", obj, err)
 		}
 	}
 	s.Objective = "fastest"
-	if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "fastest") {
+	if _, err := expand(s); err == nil || !strings.Contains(err.Error(), "fastest") {
 		t.Errorf("unknown objective accepted: %v", err)
 	}
-	// The decoder validates through Expand, so a bad objective fails at
+	// The decoder validates through Cells, so a bad objective fails at
 	// load time too.
 	s.Objective = "pareto"
 	var sb strings.Builder
@@ -470,7 +471,7 @@ func TestSweepRePricesNetworkPreset(t *testing.T) {
 		BandwidthsBitsPerSec: []float64{10e9},
 		Protocols:            []string{"ring"},
 	}
-	scenarios, err := sw.Expand()
+	scenarios, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func TestSweepRePricesNetworkPreset(t *testing.T) {
 	}
 	// Without a bandwidth axis, the kind switch carries the preset's rate.
 	kindOnly := Sweep{Base: base, Protocols: []string{"ring"}}
-	scenarios, err = kindOnly.Expand()
+	scenarios, err = expandSweep(kindOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,26 +5,14 @@ import (
 	"time"
 )
 
-// Breaker states, exported through the dmls_breaker_state gauge and the
-// JSON metrics snapshot. Closed is the healthy fast path; Open sheds kernel
-// work entirely; HalfOpen admits exactly one probe request to test recovery.
+// Breaker states, exported through the dmls_breaker_state gauge. Closed is
+// the healthy fast path; Open sheds kernel work entirely; HalfOpen admits
+// exactly one probe request to test recovery.
 const (
 	BreakerClosed   = 0
 	BreakerOpen     = 1
 	BreakerHalfOpen = 2
 )
-
-// breakerStateName renders a state for humans (healthz, JSON metrics).
-func breakerStateName(state int) string {
-	switch state {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
 
 // BreakerConfig sizes one route's circuit breaker. The zero value takes
 // production-shaped defaults.

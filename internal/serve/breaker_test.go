@@ -146,9 +146,8 @@ func TestBreakerDegradedServing(t *testing.T) {
 		t.Fatalf("degraded sweep Retry-After = %q, want positive integer", hdr.Get("Retry-After"))
 	}
 
-	m := s.Metrics()
-	if m.DegradedPlans == 0 || m.DegradedShed == 0 {
-		t.Fatalf("degraded counters = plans %d shed %d, want both positive", m.DegradedPlans, m.DegradedShed)
+	if s.degradedPlans.Value() == 0 || s.degradedShed.Value() == 0 {
+		t.Fatalf("degraded counters = plans %d shed %d, want both positive", s.degradedPlans.Value(), s.degradedShed.Value())
 	}
 
 	// Recovery: the open period lapses, the next requests probe, succeed,
@@ -173,8 +172,8 @@ func TestBreakerDegradedServing(t *testing.T) {
 	if resp.StatusCode != 200 || string(body) != "ok\n" {
 		t.Fatalf("healthz after recovery = %d %q, want 200 \"ok\"", resp.StatusCode, body)
 	}
-	if m := s.Metrics(); m.BreakerSweep != "closed" || m.BreakerPlan != "closed" {
-		t.Fatalf("breakers after recovery = %s/%s, want closed/closed", m.BreakerSweep, m.BreakerPlan)
+	if sw, pl := s.breakerSweep.State(), s.breakerPlan.State(); sw != BreakerClosed || pl != BreakerClosed {
+		t.Fatalf("breaker states after recovery = %d/%d, want closed/closed", sw, pl)
 	}
 }
 
@@ -234,12 +233,11 @@ func TestChaosTransientRetry(t *testing.T) {
 		}
 	}
 
-	m := s.Metrics()
-	if m.Retries == 0 {
+	if s.retries.Value() == 0 {
 		t.Fatal("retries_total = 0; the storm must have retried")
 	}
-	if m.BreakerSweep != "closed" || m.BreakerPlan != "closed" {
-		t.Fatalf("breakers = %s/%s; absorbed faults must not trip them", m.BreakerSweep, m.BreakerPlan)
+	if sw, pl := s.breakerSweep.State(), s.breakerPlan.State(); sw != BreakerClosed || pl != BreakerClosed {
+		t.Fatalf("breaker states = %d/%d; absorbed faults must not trip them", sw, pl)
 	}
 
 	// Faults off: the same grids answer byte-identically — the retried
@@ -271,5 +269,35 @@ func TestChaosTransientRetry(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// TestBreakerIgnoresClientInputErrors: a cell that fails deterministically
+// (here an unknown protocol kind, which decodes but cannot evaluate) is the
+// client's input, not kernel trouble. Five such requests per route must
+// leave both breakers closed, so the next valid sweep answers 200 and the
+// next valid plan is full fidelity rather than degraded.
+func TestBreakerIgnoresClientInputErrors(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const warp = `{"name": "warp", "scenarios": [{"name": "warp", "workload": {"flops_per_example": 1e6, "batch_size": 10, "parameters": 100},
+	  "hardware": {"preset": "xeon-e3-1240"}, "protocol": {"kind": "warp", "bandwidth_bits_per_sec": 1e9},
+	  "convergence": {"rule": "diminishing", "base_iterations": 100, "critical_batch_growth": 4}, "max_workers": 8}]}`
+	for _, route := range []string{"sweep", "plan"} {
+		for i := 0; i < 5; i++ {
+			status, body, _ := post(t, ts, "/v1/"+route, `{"suite": `+warp+`}`)
+			if status != 200 || !bytes.Contains(body, []byte("warp")) {
+				t.Fatalf("%s %d: status %d, want 200 with the cell's error: %s", route, i, status, body)
+			}
+		}
+		if st := s.BreakerFor(route).State(); st != BreakerClosed {
+			t.Fatalf("%s breaker state %d after client input errors, want closed", route, st)
+		}
+	}
+	if status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+sweepSuiteJSON+`}`); status != 200 {
+		t.Fatalf("valid sweep after bad input: status %d: %s", status, body)
+	}
+	status, body, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`)
+	if status != 200 || bytes.Contains(body, []byte(`"degraded"`)) {
+		t.Fatalf("valid plan after bad input: status %d, want full fidelity: %s", status, body)
 	}
 }

@@ -82,12 +82,11 @@ func TestChaosCoalesceIdenticalSweeps(t *testing.T) {
 			t.Errorf("request %d: body differs from the leader's", i)
 		}
 	}
-	m := s.Metrics()
-	if m.Coalesced != followers {
-		t.Errorf("coalesced_total = %d, want %d", m.Coalesced, followers)
+	if got := s.coalescedTotal.Value(); got != followers {
+		t.Errorf("coalesced_total = %d, want %d", got, followers)
 	}
-	if m.Sweeps != followers+1 {
-		t.Errorf("sweeps_total = %d, want %d (replays count as answered sweeps)", m.Sweeps, followers+1)
+	if got := s.sweeps.Value(); got != followers+1 {
+		t.Errorf("sweeps_total = %d, want %d (replays count as answered sweeps)", got, followers+1)
 	}
 	checkBudgetIntact(t)
 }
@@ -151,12 +150,11 @@ func TestChaosCoalescePanickedLeader(t *testing.T) {
 			t.Errorf("follower %d: body %q, want %q", i, bodies[i], okBody)
 		}
 	}
-	m := s.Metrics()
-	if m.Panics != 1 {
-		t.Errorf("panics_total = %d, want 1", m.Panics)
+	if got := s.panics.Value(); got != 1 {
+		t.Errorf("panics_total = %d, want 1", got)
 	}
-	if m.Coalesced != 0 {
-		t.Errorf("coalesced_total = %d, want 0: a failed leader's response must never replay", m.Coalesced)
+	if got := s.coalescedTotal.Value(); got != 0 {
+		t.Errorf("coalesced_total = %d, want 0: a failed leader's response must never replay", got)
 	}
 	s.coal.mu.Lock()
 	stale := len(s.coal.inflight)

@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"dmlscale/internal/obs"
 	"dmlscale/internal/planner"
 	"dmlscale/internal/registry"
+	"dmlscale/internal/resilience"
 	"dmlscale/internal/scenario"
 )
 
@@ -97,30 +97,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Metrics is the counter snapshot /metrics reports. All counters are
-// monotone since process start.
-type Metrics struct {
-	UptimeSeconds   float64             `json:"uptime_seconds"`
-	Requests        int64               `json:"requests_total"`
-	Sweeps          int64               `json:"sweeps_total"`
-	Plans           int64               `json:"plans_total"`
-	Shed            int64               `json:"shed_total"`
-	Coalesced       int64               `json:"coalesced_total"`
-	BadRequests     int64               `json:"bad_requests_total"`
-	DeadlineExpired int64               `json:"deadline_expired_total"`
-	ClientGone      int64               `json:"client_gone_total"`
-	Panics          int64               `json:"panics_total"`
-	Retries         int64               `json:"retries_total"`
-	DegradedPlans   int64               `json:"degraded_plans_total"`
-	DegradedShed    int64               `json:"degraded_shed_total"`
-	BreakerSweep    string              `json:"breaker_sweep"`
-	BreakerPlan     string              `json:"breaker_plan"`
-	InFlight        int64               `json:"in_flight"`
-	Draining        bool                `json:"draining"`
-	Parallelism     int                 `json:"parallelism"`
-	Caches          registry.CacheStats `json:"caches"`
-}
-
 // Server is the planning service. Construct with New, mount Handler on any
 // mux or listener, or let Run own the listen/drain lifecycle.
 type Server struct {
@@ -139,8 +115,7 @@ type Server struct {
 	boundAddr atomic.Pointer[string]
 
 	// set registers every counter, histogram and gauge below for the
-	// Prometheus exposition of GET /metrics; the legacy JSON snapshot reads
-	// the same instruments, so the two formats can never disagree.
+	// Prometheus exposition of GET /metrics.
 	set             *obs.Set
 	requests        *obs.Counter
 	sweeps          *obs.Counter
@@ -200,9 +175,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// registerMetrics builds the server's instrument set: the legacy JSON
-// counters, per-route request-duration and cells-evaluated histograms, and
-// scrape-time gauges over server and kernel-cache state.
+// registerMetrics builds the server's instrument set: request counters,
+// per-route request-duration and cells-evaluated histograms, and scrape-time
+// gauges over server and kernel-cache state.
 func (s *Server) registerMetrics() {
 	s.set = obs.NewSet()
 	s.requests = s.set.NewCounter("dmls_requests_total", "Evaluation requests received (sweep and plan), including shed and rejected ones.")
@@ -256,31 +231,6 @@ func (s *Server) Handler() http.Handler {
 // it directly.
 func (s *Server) Close() {
 	s.cancel()
-}
-
-// Metrics snapshots the counters.
-func (s *Server) Metrics() Metrics {
-	return Metrics{
-		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Requests:        s.requests.Value(),
-		Sweeps:          s.sweeps.Value(),
-		Plans:           s.plans.Value(),
-		Shed:            s.shed.Value(),
-		Coalesced:       s.coalescedTotal.Value(),
-		BadRequests:     s.badRequests.Value(),
-		DeadlineExpired: s.deadlineExpired.Value(),
-		ClientGone:      s.clientGone.Value(),
-		Panics:          s.panics.Value(),
-		Retries:         s.retries.Value(),
-		DegradedPlans:   s.degradedPlans.Value(),
-		DegradedShed:    s.degradedShed.Value(),
-		BreakerSweep:    breakerStateName(s.breakerSweep.State()),
-		BreakerPlan:     breakerStateName(s.breakerPlan.State()),
-		InFlight:        s.inFlight.Load(),
-		Draining:        s.draining.Load(),
-		Parallelism:     core.Parallelism(),
-		Caches:          registry.SnapshotCaches(),
-	}
 }
 
 // BreakerFor returns the route's kernel circuit breaker ("sweep" or
@@ -590,6 +540,29 @@ func (s *Server) evalFailure(w http.ResponseWriter, r *http.Request, err error) 
 	return false
 }
 
+// recordCells feeds one finished evaluation to its route's breaker. Only a
+// cell that failed with a transient error (resilience.IsTransient) speaks
+// against kernel health; every unmarked error is deterministic — usually the
+// client's own input, like an unknown protocol kind — so a request whose
+// failures are all permanent neither trips nor heals the breaker.
+func recordCells[T any](b *Breaker, cells []T, errOf func(T) error) {
+	failed := false
+	for _, c := range cells {
+		if err := errOf(c); err != nil {
+			if resilience.IsTransient(err) {
+				b.Record(false)
+				return
+			}
+			failed = true
+		}
+	}
+	if failed {
+		b.Cancel()
+		return
+	}
+	b.Record(true)
+}
+
 // decodeRequest strictly decodes a request body into dst, rejecting unknown
 // fields and trailing garbage. The body is read whole first so suite
 // sub-documents can be re-decoded through scenario's own strict path.
@@ -681,7 +654,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// Cancellation and deadline expiry say nothing about kernel health.
 		s.breakerSweep.Cancel()
 	} else {
-		s.breakerSweep.Record(st.Failed == 0)
+		recordCells(s.breakerSweep, results, func(r scenario.Result) error { return r.Err })
 	}
 	if s.evalFailure(w, r, err) {
 		return
@@ -803,13 +776,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	report, st, err := planner.PlanSuiteCtx(ctx, suite, obj, req.Parallelism, opts)
 	noteStats(r, st)
-	switch {
-	case err != nil:
+	if err != nil {
 		// Cancellation, deadline expiry and suite-shape errors say nothing
 		// about kernel health.
 		s.breakerPlan.Cancel()
-	default:
-		s.breakerPlan.Record(st.Failed == 0)
+	} else {
+		recordCells(s.breakerPlan, report.Plans, func(p planner.Plan) error { return p.Err })
 	}
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		// Suite-shape errors the cap check could not see (bad objective in
@@ -892,31 +864,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the instrument set in Prometheus text exposition
-// format by default, or the legacy JSON counter snapshot when the client's
-// Accept header asks for application/json. Both variants are marked
-// no-store: a scrape or dashboard poll must never see a cached snapshot.
+// format, marked no-store: a scrape or dashboard poll must never see a
+// cached snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
-	if acceptsJSON(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.Metrics())
-		return
-	}
 	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	s.set.WritePrometheus(w)
-}
-
-// acceptsJSON reports whether an Accept header explicitly asks for JSON
-// (application/json or any +json media type). Absent, wildcard or
-// Prometheus-style Accept headers fall through to the text exposition.
-func acceptsJSON(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
-		if mt == "application/json" || strings.HasSuffix(mt, "+json") {
-			return true
-		}
-	}
-	return false
 }

@@ -90,6 +90,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp.StatusCode != 200 || string(body) != "ok\n" {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
 	}
+	// /metrics has one format: even a client asking for JSON gets the
+	// Prometheus exposition.
 	req, err := http.NewRequest("GET", ts.URL+"/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,23 +102,20 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != "application/json" {
-		t.Fatalf("JSON metrics Content-Type = %q", got)
+	if got := resp.Header.Get("Content-Type"); got != obs.PrometheusContentType {
+		t.Fatalf("metrics Content-Type = %q", got)
 	}
-	if got := resp.Header.Get("Cache-Control"); got != "no-store" {
-		t.Fatalf("JSON metrics Cache-Control = %q", got)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("metrics not JSON: %v", err)
-	}
-	if m.Parallelism <= 0 {
-		t.Fatalf("metrics parallelism %d", m.Parallelism)
+	if !strings.Contains(string(raw), "# TYPE dmls_parallelism gauge") {
+		t.Fatalf("metrics missing the parallelism gauge:\n%s", raw)
 	}
 }
 
-// TestMetricsPrometheusDefault: a bare GET /metrics (no Accept preference
-// for JSON) serves Prometheus text exposition with the expected families,
+// TestMetricsPrometheusDefault: a bare GET /metrics serves Prometheus text
+// exposition with the expected families,
 // and a request that ran populates the per-route duration histogram.
 func TestMetricsPrometheusDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -254,7 +253,7 @@ func TestPlanMatchesOfflineByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, err := planner.PlanSuiteOpts(suite, "", 0, planner.Options{Prune: true, RefineRounds: 1})
+	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{Prune: true, RefineRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestSweepMatchesOfflineByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := scenario.EvaluateSuiteStats(suite, 0)
+	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +318,11 @@ func TestPlanRejects(t *testing.T) {
 			t.Errorf("%s: error body not structured: %s", tc.name, body)
 		}
 	}
-	if m := s.Metrics(); m.BadRequests != int64(len(cases)) {
-		t.Errorf("bad_requests_total = %d, want %d", m.BadRequests, len(cases))
+	if got := s.badRequests.Value(); got != int64(len(cases)) {
+		t.Errorf("bad_requests_total = %d, want %d", got, len(cases))
 	}
-	if m := s.Metrics(); m.Panics != 0 {
-		t.Errorf("panics_total = %d after bad requests", m.Panics)
+	if got := s.panics.Value(); got != 0 {
+		t.Errorf("panics_total = %d after bad requests", got)
 	}
 }
 
@@ -367,8 +366,8 @@ func TestExpiredDeadlineReturns504(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: %d %s", status, body)
 	}
-	if m := s.Metrics(); m.DeadlineExpired != 1 {
-		t.Errorf("deadline_expired_total = %d, want 1", m.DeadlineExpired)
+	if got := s.deadlineExpired.Value(); got != 1 {
+		t.Errorf("deadline_expired_total = %d, want 1", got)
 	}
 }
 
@@ -389,8 +388,8 @@ func TestPanicContainment(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "kaboom") {
 		t.Fatalf("panic not structured: %s", rec.Body.String())
 	}
-	if m := s.Metrics(); m.Panics != 1 || m.InFlight != 0 {
-		t.Fatalf("metrics after panic: panics=%d in_flight=%d", m.Panics, m.InFlight)
+	if panics, inFlight := s.panics.Value(), s.inFlight.Load(); panics != 1 || inFlight != 0 {
+		t.Fatalf("metrics after panic: panics=%d in_flight=%d", panics, inFlight)
 	}
 	// The semaphore slot came back: the next request is admitted.
 	rec2 := httptest.NewRecorder()

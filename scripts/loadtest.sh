@@ -11,10 +11,9 @@
 #   2. /healthz answers 200 throughout the storm;
 #   3. SIGTERM drains: the server exits 0 within the drain deadline.
 #
-# It also smoke-tests the metrics endpoint both ways: the default
-# Prometheus text exposition must carry well-formed # TYPE lines and a
-# populated request-duration histogram, and Accept: application/json must
-# still serve the legacy JSON snapshot.
+# It also smoke-tests the metrics endpoint: the Prometheus text exposition
+# must carry well-formed # TYPE lines, a populated request-duration
+# histogram and a positive dmls_requests_total.
 #
 # Phase 2 is the circuit-breaker drill: a second server instance starts
 # with -chaos-kernel-errors so every kernel computation fails, kernel-backed
@@ -23,31 +22,42 @@
 # answers bound-model estimates with "degraded": true, /v1/sweep sheds 503
 # with a positive Retry-After — then waits out the open window and proves
 # the service heals: kernel-free probes close both breakers, /healthz says
-# "ok" again, and the breaker gauges read "closed".
+# "ok" again, and the dmls_breaker_state gauges read 0 (closed).
 #
-# The p50/p99/shed-rate summary lands in BENCH_PR<n>.json at the repo root,
-# the same perf-trajectory record bench.sh feeds.
+# The p50/p99/shed-rate summary prints on stdout and, when OUT is set, is
+# also written there (never over an existing file). This is a robustness
+# smoke, not a benchmark: for performance, run bash bench/run.sh.
 #
 # Usage:
-#   scripts/loadtest.sh                       # writes BENCH_PR7.json
-#   OUT=/tmp/smoke.json scripts/loadtest.sh   # CI smoke, no baseline write
+#   scripts/loadtest.sh                       # prints the summary
+#   OUT=/tmp/smoke.json scripts/loadtest.sh   # also records it
 #   REQUESTS=20 CONCURRENCY=4 scripts/loadtest.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_PR7.json}"
+OUT="${OUT:-}"
 PORT="${PORT:-18080}"
 REQUESTS="${REQUESTS:-60}"
 CONCURRENCY="${CONCURRENCY:-8}"
 MAX_INFLIGHT="${MAX_INFLIGHT:-2}"
 DRAIN_TIMEOUT="${DRAIN_TIMEOUT:-10s}"
 
-if [ -e "$OUT" ]; then
-    echo "loadtest.sh: $OUT already exists (a committed perf baseline)." >&2
-    echo "loadtest.sh: pass OUT=<path> to record this run without clobbering it." >&2
+if [ -n "$OUT" ] && [ -e "$OUT" ]; then
+    echo "loadtest.sh: $OUT already exists; pass an OUT=<path> that does not." >&2
     exit 1
 fi
+
+# expect asserts a numeric condition on one series of a Prometheus
+# exposition file: expect <file> <series> <awk comparison>, e.g.
+#   expect metrics.prom 'dmls_breaker_state{route="plan"}' '== 1'
+expect() {
+    if ! awk -v series="$2" "\$1 == series { found = 1; ok = (\$2 $3) } END { exit !(found && ok) }" "$1"; then
+        echo "loadtest.sh: metrics check failed: $2 $3" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -84,11 +94,9 @@ if [ "$shed" -eq 0 ]; then
     exit 1
 fi
 
-# Metrics smoke, both content negotiations, scraped while the server is
-# still warm from the storm:
-#   - default GET /metrics is Prometheus text: # TYPE lines present and
-#     well-formed, and the per-route duration histogram actually populated;
-#   - Accept: application/json still serves the legacy JSON snapshot.
+# Metrics smoke, scraped while the server is still warm from the storm:
+# # TYPE lines present and well-formed, the per-route duration histogram
+# actually populated, and the request counter moving.
 curl -fsS "$base/metrics" >"$workdir/metrics.prom"
 if ! grep -q '^# TYPE dmls_requests_total counter$' "$workdir/metrics.prom"; then
     echo "loadtest.sh: Prometheus exposition missing dmls_requests_total TYPE line:" >&2
@@ -105,12 +113,9 @@ if [ "$dur_count" -eq 0 ]; then
     echo "loadtest.sh: request-duration histogram empty after the load storm" >&2
     exit 1
 fi
-json_requests=$(curl -fsS -H 'Accept: application/json' "$base/metrics" | jq -r .requests_total)
-if [ "$json_requests" -le 0 ]; then
-    echo "loadtest.sh: legacy JSON metrics unreadable or empty (requests_total=$json_requests)" >&2
-    exit 1
-fi
-echo "loadtest.sh: metrics smoke ok (duration observations: $dur_count, requests_total: $json_requests)" >&2
+expect "$workdir/metrics.prom" dmls_requests_total '> 0'
+requests=$(awk '$1 == "dmls_requests_total" { print $2 }' "$workdir/metrics.prom")
+echo "loadtest.sh: metrics smoke ok (duration observations: $dur_count, requests_total: $requests)" >&2
 
 # Clean drain: SIGTERM, then the server must exit 0 inside the drain window.
 kill -TERM "$server_pid"
@@ -209,8 +214,9 @@ done
 curl -fsS -o /dev/null "$base2/healthz" || { echo "loadtest.sh: chaos server never became healthy" >&2; exit 1; }
 
 # Trip both breakers: two kernel-backed requests per route, every kernel
-# attempt failing. Plans fail in-body (200 + error plans), sweeps fail
-# in-body too — both Record(failure) on their route's breaker.
+# attempt failing. Plans and sweeps fail in-body (200 + error cells), and
+# the failures are transient faults, so both count against their route's
+# breaker.
 for _ in 1 2; do
     curl -s -o /dev/null -X POST -d @"$workdir/chaos-req.json" "$base2/v1/plan"
 done
@@ -254,21 +260,14 @@ if [ "$retry_after" -lt 1 ]; then
     exit 1
 fi
 
-# Metrics while degraded: breakers open, degraded counters moving, and the
-# chaos faults actually went through the retry path first.
-curl -fsS -H 'Accept: application/json' "$base2/metrics" >"$workdir/metrics2-open.json"
-for check in \
-    '.breaker_plan == "open"' \
-    '.breaker_sweep == "open"' \
-    '.degraded_plans_total >= 1' \
-    '.degraded_shed_total >= 1' \
-    '.retries_total > 0'; do
-    if [ "$(jq -r "$check" "$workdir/metrics2-open.json")" != "true" ]; then
-        echo "loadtest.sh: degraded-state metrics check failed: $check" >&2
-        cat "$workdir/metrics2-open.json" >&2
-        exit 1
-    fi
-done
+# Metrics while degraded: breakers open (state 1), degraded counters
+# moving, and the chaos faults actually went through the retry path first.
+curl -fsS "$base2/metrics" >"$workdir/metrics2-open.prom"
+expect "$workdir/metrics2-open.prom" 'dmls_breaker_state{route="plan"}' '== 1'
+expect "$workdir/metrics2-open.prom" 'dmls_breaker_state{route="sweep"}' '== 1'
+expect "$workdir/metrics2-open.prom" dmls_degraded_plans_total '>= 1'
+expect "$workdir/metrics2-open.prom" dmls_degraded_shed_total '>= 1'
+expect "$workdir/metrics2-open.prom" dmls_retries_total '> 0'
 echo "loadtest.sh: breakers tripped — healthz degraded, plans degraded, sweeps shed with Retry-After $retry_after" >&2
 
 # Recovery: wait out the open period, then send kernel-free probes. The
@@ -292,14 +291,9 @@ if [ "$hz" != "ok" ]; then
     echo "loadtest.sh: healthz should be back to ok after recovery, got: $hz" >&2
     exit 1
 fi
-curl -fsS -H 'Accept: application/json' "$base2/metrics" >"$workdir/metrics2-closed.json"
-for check in '.breaker_plan == "closed"' '.breaker_sweep == "closed"'; do
-    if [ "$(jq -r "$check" "$workdir/metrics2-closed.json")" != "true" ]; then
-        echo "loadtest.sh: post-recovery metrics check failed: $check" >&2
-        cat "$workdir/metrics2-closed.json" >&2
-        exit 1
-    fi
-done
+curl -fsS "$base2/metrics" >"$workdir/metrics2-closed.prom"
+expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="plan"}' '== 0'
+expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="sweep"}' '== 0'
 echo "loadtest.sh: breakers recovered — healthz ok, both breaker gauges closed" >&2
 
 kill -TERM "$server2_pid"
@@ -312,6 +306,9 @@ if [ "$drain2_rc" -ne 0 ]; then
 fi
 trap 'rm -rf "$workdir"' EXIT
 
-echo "$summary" | jq '. + {"clean_drain": true, "breaker_drill": "pass"}' >"$OUT"
-echo "loadtest.sh: wrote $OUT" >&2
-cat "$OUT"
+summary=$(echo "$summary" | jq '. + {"clean_drain": true, "breaker_drill": "pass"}')
+if [ -n "$OUT" ]; then
+    echo "$summary" >"$OUT"
+    echo "loadtest.sh: wrote $OUT" >&2
+fi
+echo "$summary"
