@@ -421,10 +421,11 @@ func Mix(words ...uint64) uint64 {
 // SplitMix64 chain — computed in one pass. Caches keyed on both halves
 // would need a simultaneous collision in two unrelated mixes (~2⁻¹²⁸) to
 // serve one sequence's result for another, versus the findable-by-search
-// 2⁻⁶⁴ of a single hash. Cheap enough to run once per model construction
-// over a 60K-vertex degree sequence, and stable across processes (no
-// per-run hash seed), so fingerprint-keyed caches behave identically run
-// to run.
+// 2⁻⁶⁴ of a single hash. It costs a pass over the sequence, so the
+// registry runs it once per generated degree sequence and keeps the result
+// with the sequence. It is stable across processes (no per-run hash seed),
+// so fingerprint-keyed caches and checkpoint journals behave identically
+// run to run.
 func HashInt32s(vals []int32) (fnv, mix uint64) {
 	const prime = 1099511628211
 	fnv = 14695981039346656037

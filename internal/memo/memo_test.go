@@ -356,6 +356,12 @@ func TestMixAndHashInt32s(t *testing.T) {
 	if h := both(a); h[0] == h[1] {
 		t.Error("the two fingerprint halves coincide; they must be independent mixes")
 	}
+	// Pinned values: both halves key the kernel-estimate cache and are the
+	// coordinates of every checkpoint journal's kernel records, so a change
+	// here would orphan every existing -checkpoint journal.
+	if got, want := both([]int32{0, 1, -1, 7, 1 << 20, 42}), [2]uint64{9317719779703917405, 14738752999842486978}; got != want {
+		t.Errorf("HashInt32s = %v, want pinned %v", got, want)
+	}
 }
 
 func BenchmarkDoHit(b *testing.B) {

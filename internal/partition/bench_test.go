@@ -104,6 +104,10 @@ func legacyMonteCarloMaxEdges(degrees []int32, workers, trials int, seed int64) 
 //     generator, still 64 RNG passes — isolating what batching alone buys
 //     on top of the generator swap.
 //
+// Single prices a 1-element batch, which runs the multiply-shift lane loop
+// where Batched runs cut cells: it times the other side of the kernel's
+// loop selection.
+//
 // The rngbytes/op metric counts RNG output drawn per operation — trials·V·8
 // for the batch against 64·trials·V·8 for either per-worker shape — the
 // pass-count asymmetry the batch removes.
@@ -122,6 +126,17 @@ func BenchmarkKernelBatchedVsPerWorker(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, workers, trials, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(rngBytes, "rngbytes/op")
+	})
+	b.Run("Single", func(b *testing.B) {
+		single := workers[len(workers)-1:]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, single, trials, int64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dmlscale/internal/core"
 	"dmlscale/internal/graph"
@@ -272,13 +273,21 @@ func MonteCarloMaxEdgesCtx(ctx context.Context, degrees []int32, workers, trials
 
 // MonteCarloMaxEdgesBatch estimates maxᵢ Eᵢ for every worker count in
 // workerCounts over one shared set of random assignments: per trial it
-// draws ONE uniform value per vertex from the inline SplitMix64 stream
-// (TrialSeed) and reduces that single draw into each worker count's load
-// vector via Lemire multiply-shift bounded reduction. A |W|-point curve
-// therefore costs one O(trials·V) RNG pass plus a multiply-shift-and-add
-// per (vertex, worker count) — instead of |W| independent RNG-heavy passes
-// — and the worker counts share common random numbers, so curve-shape
-// differences between adjacent points carry no independent sampling noise.
+// draws ONE uniform value r per vertex from the inline SplitMix64 stream
+// (TrialSeed), and worker count w places that vertex on slot ⌊r·w/2⁶⁴⌋
+// (Lemire multiply-shift bounded reduction). The worker counts share
+// common random numbers, so curve-shape differences between adjacent
+// points carry no independent sampling noise, and a |W|-point curve costs
+// one O(trials·V) RNG pass instead of |W|.
+//
+// A batch of at most maxLaneGroup counts adds each vertex's degree once
+// per count, at its multiply-shift slot (the lane loop). A larger batch
+// reads every slot off exact cut cells: ⌊r·w/2⁶⁴⌋ ≥ j exactly when
+// r ≥ ⌈j·2⁶⁴/w⌉, so the batch's sorted cuts ⌈j·2⁶⁴/w⌉ split [0, 2⁶⁴) into
+// cells on which every w picks one fixed slot. Each vertex adds its degree
+// to its draw's cell once, whatever the batch's size, and a prefix sum over
+// the cells folds them into each w's slot loads. Loads are integer sums
+// either way, so both loops produce the same loads, bit for bit.
 //
 // Estimates align with workerCounts (which need not be sorted or unique).
 // Trials shard across the shared parallelism budget and trial maxima are
@@ -306,25 +315,27 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 	edges /= 2
 	// Per worker count: its dup correction and its slice [offsets[i],
 	// offsets[i+1]) of the shard-local flat loads buffer — one allocation
-	// for the whole batch, laid out in batch order so the inner loop walks
-	// it forward.
+	// for the whole batch, laid out in batch order so every pass walks it
+	// forward.
 	dups := make([]float64, len(workerCounts))
 	offsets := make([]int, len(workerCounts)+1)
+	maxWorkers := 0
 	for i, w := range workerCounts {
 		dups[i] = DupCorrection(len(degrees), edges, w)
 		offsets[i+1] = offsets[i] + w
+		maxWorkers = max(maxWorkers, w)
 	}
-	// lanes is the inner loop's working set: each worker count as the
-	// (multiplier, flat-buffer offset) pair the per-vertex reduction needs,
-	// in one contiguous slice so the hot loop does a single ranged read per
-	// lane instead of two bounds-checked lookups.
-	type lane struct {
-		w   uint64
-		off int
-	}
-	lanes := make([]lane, len(workerCounts))
-	for i, w := range workerCounts {
-		lanes[i] = lane{w: uint64(w), off: offsets[i]}
+	// Exactly one of lanes and cells is set: the lane loop's (multiplier,
+	// offset) pairs, or the batch's cut-cell table.
+	var lanes []lane
+	var cells *cutCells
+	if len(workerCounts) <= maxLaneGroup {
+		lanes = make([]lane, len(workerCounts))
+		for i, w := range workerCounts {
+			lanes[i] = lane{w: uint64(w), off: offsets[i]}
+		}
+	} else {
+		cells = newCutCells(workerCounts)
 	}
 
 	done := ctx.Done()
@@ -336,9 +347,13 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 		_, shard := obs.Start(ctx, "mc-shard")
 		shard.SetInt("trials", int64(hi-lo))
 		shard.SetInt("batch", int64(len(workerCounts)))
-		shard.SetInt("workers", int64(workerCounts[len(workerCounts)-1]))
+		shard.SetInt("workers", int64(maxWorkers))
+		shard.SetInt("cells", int64(cells.count()))
 		defer shard.End()
 		loads := make([]int64, offsets[len(workerCounts)])
+		// sums[c+1] accumulates cell c, then holds the prefix sum of cells
+		// [0, c]; sums[0] stays 0.
+		sums := make([]int64, cells.count()+1)
 		for trial := lo; trial < hi; trial++ {
 			if done != nil {
 				select {
@@ -348,16 +363,10 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 				}
 			}
 			state := rng(TrialSeed(seed, trial))
-			for i := range loads {
-				loads[i] = 0
-			}
-			for _, d := range degrees {
-				r := state.next()
-				dd := int64(d)
-				for _, ln := range lanes {
-					hi, _ := bits.Mul64(r, ln.w)
-					loads[ln.off+int(hi)] += dd
-				}
+			if cells == nil {
+				lanePass(state, degrees, lanes, loads)
+			} else {
+				cells.pass(state, degrees, sums, loads)
 			}
 			for i := range workerCounts {
 				maxes[i*trials+trial] = MaxLoad(loads[offsets[i]:offsets[i+1]], dups[i])
@@ -376,6 +385,169 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 		ests[i] = Estimate{MaxEdges: total / float64(trials), Trials: trials}
 	}
 	return ests, nil
+}
+
+// maxLaneGroup is the largest batch priced by the lane loop: for this few
+// worker counts a multiply per count beats a cell lookup.
+const maxLaneGroup = 4
+
+// lane is one worker count in the lane loop: the multiplier and the offset
+// of its loads in the flat buffer, read together in one ranged access per
+// vertex.
+type lane struct {
+	w   uint64
+	off int
+}
+
+// lanePass adds each vertex's degree into every lane's multiply-shift slot
+// of the draw.
+func lanePass(state rng, degrees []int32, lanes []lane, loads []int64) {
+	clear(loads)
+	for _, d := range degrees {
+		r := state.next()
+		dd := int64(d)
+		for _, ln := range lanes {
+			hi, _ := bits.Mul64(r, ln.w)
+			loads[ln.off+int(hi)] += dd
+		}
+	}
+}
+
+// cutCells is a batch's exact cut-cell table, built once per call.
+type cutCells struct {
+	// cuts are the batch's sorted, distinct cuts ⌈j·2⁶⁴/w⌉ (0 < j < w);
+	// cell c holds the draws with exactly c cuts at or below them.
+	cuts []uint64
+	// index[r>>shift] is the number of cuts below the first value of r's
+	// bucket: where r's cell search starts.
+	index []uint32
+	shift uint
+	// ends lines up with the batch's loads: ends[k] is one past the last
+	// cell of load slot k, so the slot sums cells [ends[k−1], ends[k]),
+	// starting from 0 at each worker count's first slot. Σw never nears
+	// 2³¹: the loads alone would take 16 GiB per shard first.
+	ends []int32
+}
+
+// newCutCells builds the table over workerCounts.
+func newCutCells(workerCounts []int) *cutCells {
+	t := &cutCells{}
+	slots := 0
+	for _, w := range workerCounts {
+		slots += w
+	}
+	// raw holds every worker count's cuts in batch order, slot by slot.
+	raw := make([]uint64, 0, slots-len(workerCounts))
+	for _, w := range workerCounts {
+		for j := 1; j < w; j++ {
+			raw = append(raw, cut(j, w))
+		}
+	}
+	// Counting-sort the cuts by their top bits into two to four buckets
+	// per cut, so a cell search rarely passes more than one cut beyond its
+	// bucket's start.
+	buckets := bits.Len(uint(len(raw))) + 1
+	t.shift = uint(64 - buckets)
+	t.index = make([]uint32, 1<<buckets)
+	for _, c := range raw {
+		t.index[c>>t.shift]++
+	}
+	first := uint32(0)
+	for b, n := range t.index {
+		t.index[b] = first
+		first += n
+	}
+	sorted := make([]uint64, len(raw))
+	for _, c := range raw {
+		b := c >> t.shift
+		sorted[t.index[b]] = c
+		t.index[b]++
+	}
+	// Each bucket now ends at index[b]. Sort and de-duplicate bucket by
+	// bucket in place, and point index[b] at the bucket's first distinct
+	// cut instead: the count of distinct cuts below the bucket.
+	n, from := 0, 0
+	for b, to := range t.index {
+		bucket := sorted[from:to]
+		slices.Sort(bucket)
+		t.index[b] = uint32(n)
+		for _, c := range bucket {
+			if n == 0 || sorted[n-1] != c {
+				sorted[n] = c
+				n++
+			}
+		}
+		from = int(to)
+	}
+	t.cuts = sorted[:n:n]
+	// Slot j of w ends where slot j+1 begins: at the cell just past w's
+	// cut j+1. The last slot ends past the last cell.
+	t.ends = make([]int32, 0, slots)
+	k := 0
+	for _, w := range workerCounts {
+		for j := 1; j < w; j++ {
+			c := raw[k]
+			pos := t.index[c>>t.shift]
+			for t.cuts[pos] < c {
+				pos++
+			}
+			t.ends = append(t.ends, int32(pos+1))
+			k++
+		}
+		t.ends = append(t.ends, int32(n+1))
+	}
+	return t
+}
+
+// cut returns ⌈j·2⁶⁴/w⌉ for 0 < j < w: the smallest draw r whose
+// multiply-shift slot ⌊r·w/2⁶⁴⌋ is at least j.
+func cut(j, w int) uint64 {
+	q, rem := bits.Div64(uint64(j), 0, uint64(w))
+	if rem != 0 {
+		q++
+	}
+	return q
+}
+
+// count returns the number of cells, 0 for a nil table (the lane loop).
+func (t *cutCells) count() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.cuts) + 1
+}
+
+// cell returns the cut cell of draw r: the number of cuts at or below it.
+// The search starts at the first cut of r's bucket, and every cut below
+// that bucket is below r.
+func (t *cutCells) cell(r uint64) int {
+	c := int(t.index[r>>t.shift])
+	for c < len(t.cuts) && t.cuts[c] <= r {
+		c++
+	}
+	return c
+}
+
+// pass adds each vertex's degree into its draw's cut cell, then folds the
+// cells into every worker count's slot loads through their prefix sums.
+// sums is scratch space for one entry per cell plus a leading zero.
+func (t *cutCells) pass(state rng, degrees []int32, sums, loads []int64) {
+	clear(sums)
+	for _, d := range degrees {
+		sums[t.cell(state.next())+1] += int64(d)
+	}
+	for c := 1; c < len(sums); c++ {
+		sums[c] += sums[c-1]
+	}
+	prev := int64(0)
+	for k, end := range t.ends {
+		s := sums[end]
+		loads[k] = s - prev
+		prev = s
+		if int(end) == len(sums)-1 {
+			prev = 0 // a worker count's last slot; the next starts at 0
+		}
+	}
 }
 
 // ExactLoads returns, for each worker, the exact number of edges it

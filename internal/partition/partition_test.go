@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"dmlscale/internal/core"
 	"dmlscale/internal/graph"
+	"dmlscale/internal/obs"
 )
 
 func uniformDegrees(n int, d int32) []int32 {
@@ -301,38 +303,126 @@ func TestMonteCarloBatchMatchesSingleton(t *testing.T) {
 	// MonteCarloMaxEdges(w) for every w ∈ W, whatever the order of W,
 	// however many duplicates it holds, and at any parallelism — common
 	// random numbers mean the estimate for w never depends on which other
-	// worker counts shared its RNG pass.
+	// worker counts shared its RNG pass. Singletons run the multiply-shift
+	// lane loop and sets of more than maxLaneGroup counts run cut cells, so
+	// the comparison pits the two inner loops against each other.
 	degrees, err := graph.PowerLawDegrees(5000, 30000, 800, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials, seed = 4, 21
-	sets := [][]int{
-		{1, 2, 3, 4, 5, 6, 7, 8},
-		{8, 3, 5, 1},
-		{7},
-		{4, 4, 2, 4}, // duplicates allowed, aligned output
+	cases := []struct {
+		name    string
+		degrees []int32
+		sets    [][]int
+	}{
+		{"power-law", degrees, [][]int{
+			{1, 2, 3, 4, 5, 6, 7, 8},
+			{8, 3, 5, 1},
+			{7},
+			{4, 4, 2, 4}, // duplicates allowed, aligned output
+			core.Range(1, 64),
+			{12, 5, 64, 5, 1, 33, 12, 9, 2}, // unsorted, duplicates, cut cells
+		}},
+		// More workers than vertices: most slots stay empty and E_dup goes
+		// negative.
+		{"tiny", []int32{3, 1, 2, 2, 1, 5, 2}, [][]int{
+			{8, 9, 10, 16, 3, 64},
+			{64, 7, 100, 7, 1000},
+		}},
 	}
+	const trials, seed = 4, 21
 	defer core.SetParallelism(0)
 	for _, par := range []int{1, 8} {
 		core.SetParallelism(par)
-		for _, set := range sets {
-			batch, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, set, trials, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) != len(set) {
-				t.Fatalf("batch over %v returned %d estimates", set, len(batch))
-			}
-			for i, w := range set {
-				single, err := MonteCarloMaxEdges(degrees, w, trials, seed)
+		for _, c := range cases {
+			for _, set := range c.sets {
+				batch, err := MonteCarloMaxEdgesBatch(context.Background(), c.degrees, set, trials, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if batch[i] != single {
-					t.Errorf("par=%d set=%v: Batch[%d] (w=%d) = %v, singleton = %v",
-						par, set, i, w, batch[i], single)
+				if len(batch) != len(set) {
+					t.Fatalf("%s: batch over %v returned %d estimates", c.name, set, len(batch))
 				}
+				for i, w := range set {
+					single, err := MonteCarloMaxEdges(c.degrees, w, trials, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batch[i] != single {
+						t.Errorf("%s par=%d |set|=%d: Batch[%d] (w=%d) = %v, singleton = %v",
+							c.name, par, len(set), i, w, batch[i], single)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCutCellsExactAtEveryCut(t *testing.T) {
+	// Random draws almost never land on a cut, so the property test above
+	// cannot see an off-by-one there. Check every cut directly: at r = c−1,
+	// c and c+1, and at both ends of the range, each worker count's slot
+	// read off the cells must equal its multiply-shift slot ⌊r·w/2⁶⁴⌋.
+	for _, set := range [][]int{
+		core.Range(1, 64),
+		{12, 5, 64, 5, 1, 33, 12, 9, 2},
+		{1, 1, 1, 1, 1},
+		{1000, 997, 500, 3, 2},
+	} {
+		cells := newCutCells(set)
+		draws := []uint64{0, math.MaxUint64}
+		for _, c := range cells.cuts {
+			draws = append(draws, c-1, c, c+1)
+		}
+		for _, r := range draws {
+			cell := cells.cell(r)
+			ends := cells.ends
+			for _, w := range set {
+				slot := 0
+				for ends[slot] <= int32(cell) {
+					slot++
+				}
+				if want := bounded(r, w); slot != want {
+					t.Fatalf("w=%d r=%#x: cell %d reads slot %d, multiply-shift gives %d", w, r, cell, slot, want)
+				}
+				ends = ends[w:]
+			}
+		}
+	}
+}
+
+func TestMonteCarloShardSpanReportsLoop(t *testing.T) {
+	// Each mc-shard span names the batch's largest worker count (the batch
+	// need not be sorted) and its cut-cell count, 0 when the lane loop
+	// priced it, so a trace shows which inner loop ran.
+	buf := obs.NewTraceBuffer(0)
+	obs.SetRecorder(buf)
+	defer obs.SetRecorder(nil)
+	degrees := uniformDegrees(500, 3)
+	unsorted := []int{5, 64, 3, 9, 1}
+	cells := newCutCells(unsorted).count()
+	for _, c := range []struct {
+		set            []int
+		workers, cells string
+	}{
+		{unsorted, "64", strconv.Itoa(cells)},
+		{[]int{9, 2}, "9", "0"},
+	} {
+		before := len(buf.Spans())
+		if _, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, c.set, 2, 5); err != nil {
+			t.Fatal(err)
+		}
+		spans := buf.Spans()[before:]
+		if len(spans) == 0 {
+			t.Fatalf("batch %v recorded no spans", c.set)
+		}
+		for _, sp := range spans {
+			attrs := map[string]string{}
+			for _, a := range sp.Attrs() {
+				attrs[a.Key] = a.Value
+			}
+			if sp.Name() != "mc-shard" || attrs["workers"] != c.workers || attrs["cells"] != c.cells {
+				t.Errorf("batch %v: span %s attrs %v, want workers=%s cells=%s", c.set, sp.Name(), attrs, c.workers, c.cells)
 			}
 		}
 	}
@@ -355,8 +445,10 @@ func TestMonteCarloBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	degrees := uniformDegrees(1000, 4)
-	if _, err := MonteCarloMaxEdgesBatch(ctx, degrees, []int{1, 2, 4}, 8, 3); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled batch returned %v, want context.Canceled", err)
+	for _, set := range [][]int{{1, 2, 4}, core.Range(1, 64)} {
+		if _, err := MonteCarloMaxEdgesBatch(ctx, degrees, set, 8, 3); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled batch over %d counts returned %v, want context.Canceled", len(set), err)
+		}
 	}
 }
 

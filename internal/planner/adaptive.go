@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"dmlscale/internal/core"
@@ -72,8 +71,10 @@ func (o Options) constrained() bool {
 // The pruning is exact, not heuristic: bounds lower-bound every
 // configuration of their cell, and only strict domination prunes, so the
 // evaluated frontier is identical to the exhaustive one at any parallelism
-// (see Frontier). Which dominated cells get pruned versus evaluated may vary
-// with scheduling; frontier membership and every evaluated plan cannot.
+// (see Frontier). The report is identical at any parallelism too: a
+// parallel pass may evaluate a cell before the frontier that prunes it has
+// formed, so each pass ends by settling its prune decisions on the ones a
+// serial pass makes (see settlePrunes).
 //
 // Cancellation yields a deterministic partial report: every cell still gets
 // exactly one plan — cells planned before ctx fired are bit-identical to an
@@ -198,25 +199,24 @@ func adaptivePass(ctx context.Context, cs *scenario.CellSet, parallelism int, op
 	})
 
 	var frontier Frontier
-	var pruned atomic.Int64
 	plans := make([]Plan, n)
 	ran := core.ForEachCtx(ctx, n, parallelism, func(k int) {
 		i := order[k]
-		plans[i] = planCell(ctx, cells[i], bounds[i], &frontier, opts, &pruned)
+		plans[i] = planCell(ctx, cells[i], bounds[i], &frontier, opts)
 	})
 	for _, i := range order[ran:] {
 		plans[i] = cancelledPlan(cells[i].Scenario, ctx.Err())
 	}
-	return plans, cells, scenario.EvalStats{Pruned: int(pruned.Load()), BoundTime: boundTime}
+	pruned := settlePrunes(plans, cells, bounds, order[:ran], &Frontier{}, opts)
+	return plans, cells, scenario.EvalStats{Pruned: pruned, BoundTime: boundTime}
 }
 
 // planCell plans one cell under the adaptive regime: prune on a provably
 // over-budget or frontier-dominated bound, otherwise evaluate and offer the
 // optimum to the frontier.
-func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Frontier, opts Options, pruned *atomic.Int64) Plan {
+func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Frontier, opts Options) Plan {
 	if b.ok {
 		if b.overBudget(opts) {
-			pruned.Add(1)
 			recordPrune(ctx, c.Scenario.Name, "over-budget")
 			p := prunedPlan(c, b)
 			p.Infeasible = true
@@ -229,7 +229,6 @@ func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Front
 		// rounding can only make pruning harder, never discard a cell
 		// that could have competed.
 		if opts.Prune && b.dominated(frontier) {
-			pruned.Add(1)
 			recordPrune(ctx, c.Scenario.Name, "dominated")
 			return prunedPlan(c, b)
 		}
@@ -239,6 +238,30 @@ func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Front
 		frontier.Insert(float64(p.Optimal.Time), p.Optimal.Cost)
 	}
 	return p
+}
+
+// settlePrunes walks a pass's plans in planning order (visit) and makes
+// each the plan a serial pass reports; frontier holds what a serial pass
+// starts from. A serial pass prunes every cell a parallel one does: a
+// parallel worker sees part of the serial frontier plus optima of cells
+// that frontier already dominates, and those prune nothing it would not. A
+// parallel pass can only miss prunes, evaluating a cell before the
+// frontier point that prunes it exists; such a cell becomes its pruned
+// plan here. It returns the pass's prune count.
+func settlePrunes(plans []Plan, cells []scenario.Cell, bounds []cellBound, visit []int, frontier *Frontier, opts Options) int {
+	pruned := 0
+	for _, i := range visit {
+		p := &plans[i]
+		if !p.Pruned && opts.Prune && bounds[i].dominated(frontier) {
+			*p = prunedPlan(cells[i], bounds[i])
+		}
+		if p.Pruned {
+			pruned++
+		} else if frontierEligible(p) {
+			frontier.Insert(float64(p.Optimal.Time), p.Optimal.Cost)
+		}
+	}
+	return pruned
 }
 
 // recordPrune emits an instant span marking a cell skipped on its bound —

@@ -1,13 +1,16 @@
 package planner
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"dmlscale/internal/core"
 	"dmlscale/internal/scenario"
 )
 
@@ -462,6 +465,54 @@ func TestZeroOptionsBitIdentical(t *testing.T) {
 				t.Errorf("parallel=%d plan %d: %q rank %d %+v vs %q rank %d %+v",
 					parallel, i, g.Scenario.Name, g.Rank, g.Optimal, w.Scenario.Name, w.Rank, w.Optimal)
 			}
+		}
+	}
+}
+
+// TestAdaptiveReportIndependentOfParallelism: a parallel adaptive pass can
+// evaluate a cell before the frontier that prunes it has formed, yet its
+// report, prune count included, must be the serial pass's byte for byte,
+// or a served plan would differ from the CLI's run to run.
+func TestAdaptiveReportIndependentOfParallelism(t *testing.T) {
+	// The first two cells in planning order race, and a serial pass
+	// prunes the second on the first's optimum.
+	s, err := scenario.DecodeSuite(strings.NewReader(`{
+	  "name": "racing grid",
+	  "objective": "pareto",
+	  "sweep": {
+	    "base": {
+	      "name": "conv",
+	      "workload": {"family": "gd-weak", "flops_per_example": 15e9, "batch_size": 128, "parameters": 25e6, "precision_bits": 32},
+	      "hardware": {"preset": "nvidia-k40"},
+	      "protocol": {"kind": "two-stage-tree", "bandwidth_bits_per_sec": 1e9},
+	      "convergence": {"rule": "diminishing", "base_iterations": 50000, "critical_batch_growth": 32},
+	      "max_workers": 32
+	    },
+	    "bandwidths_bits_per_sec": [1e9, 10e9],
+	    "protocols": ["two-stage-tree", "ring"]
+	  }
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer core.SetParallelism(0)
+	plan := func(parallelism int) ([]byte, int) {
+		core.SetParallelism(parallelism)
+		report, stats, err := PlanSuiteCtx(context.Background(), s, "", 0, Options{Prune: true, RefineRounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), stats.Pruned
+	}
+	want, wantPruned := plan(1)
+	for run := 0; run < 40; run++ {
+		got, pruned := plan(8)
+		if !bytes.Equal(got, want) || pruned != wantPruned {
+			t.Fatalf("run %d at parallelism 8: report differs from the serial pass (%d pruned, serial %d)", run, pruned, wantPruned)
 		}
 	}
 }

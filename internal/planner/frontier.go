@@ -18,9 +18,10 @@ import (
 // the strictly-better frontier point dominates too, by transitivity).
 // Equality never prunes, so co-optimal cells all survive, exactly as the
 // exhaustive markPareto keeps them. The resulting frontier is therefore
-// identical to the exhaustive one regardless of insertion order — which
-// cells get pruned (rather than evaluated and dominated) may vary with
-// parallelism, but membership cannot.
+// identical to the exhaustive one regardless of insertion order. Which
+// cells get pruned (rather than evaluated and dominated) does depend on it;
+// the planner settles those decisions on a serial pass's (settlePrunes), so
+// its report does not vary with parallelism.
 type Frontier struct {
 	mu sync.Mutex
 	// pts is sorted by time strictly ascending with cost strictly

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"dmlscale/internal/core"
@@ -105,11 +104,15 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 		// Candidates face the full current frontier from the start, so a
 		// midpoint that cannot beat the coarse pass is pruned as cheaply
 		// as any declared cell.
-		var frontier Frontier
-		for _, i := range eligible {
-			frontier.Insert(float64(plans[i].Optimal.Time), plans[i].Optimal.Cost)
+		coarse := func() *Frontier {
+			var f Frontier
+			for _, i := range eligible {
+				f.Insert(float64(plans[i].Optimal.Time), plans[i].Optimal.Cost)
+			}
+			return &f
 		}
-		var pruned atomic.Int64
+		frontier := coarse()
+		bounds := make([]cellBound, len(cand))
 		newPlans := make([]Plan, len(cand))
 		ran := core.ForEachCtx(rctx, len(cand), parallelism, func(k int) {
 			// Each frontier-adjacent probe plans through scenario.ModelCtx,
@@ -117,16 +120,18 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 			// so an off-grid cell whose graph coordinates match a frontier
 			// cell reuses its batch-filled estimates outright, and a cell
 			// with fresh coordinates pays one batched pass, not MaxN.
-			newPlans[k] = planCell(rctx, cand[k], boundFor(cand[k].Scenario), &frontier, opts, &pruned)
-			newPlans[k].Refined = true
+			bounds[k] = boundFor(cand[k].Scenario)
+			newPlans[k] = planCell(rctx, cand[k], bounds[k], frontier, opts)
 		})
 		for k := ran; k < len(cand); k++ {
 			newPlans[k] = cancelledPlan(cand[k].Scenario, ctx.Err())
+		}
+		stats.Pruned += settlePrunes(newPlans, cand, bounds, core.Range(0, ran-1), coarse(), opts)
+		for k := range newPlans {
 			newPlans[k].Refined = true
 		}
 		plans = append(plans, newPlans...)
 		cells = append(cells, cand...)
-		stats.Pruned += int(pruned.Load())
 		stats.Refined += len(cand)
 		stats.RefineRounds++
 		endRound(len(cand))

@@ -13,7 +13,7 @@ import (
 // The registry owns every process-wide cache behind model construction,
 // layered the way the data flows:
 //
-//	GraphSpec ──► degree sequence ──► Monte-Carlo maxᵢEᵢ estimate ──► curve
+//	GraphSpec ──► degree sequence + fingerprint ──► Monte-Carlo maxᵢEᵢ estimate ──► curve
 //	          └─► materialized graph
 //
 // All three are memo.Cache instances — bounded, single-flight, counted —
@@ -76,10 +76,19 @@ func (k estimateKey) call() KernelCall {
 	}
 }
 
+// degreeEntry is one generated degree sequence with its memo.HashInt32s
+// fingerprint, computed once inside the single-flight generation, so a
+// model built on a cached sequence keys its estimates without rehashing
+// it.
+type degreeEntry struct {
+	degrees  []int32
+	fnv, mix uint64
+}
+
 var (
 	// degreeCache and graphCache memoize what one GraphSpec generates.
 	// Single-stripe: exact LRU, and the entries are few and expensive.
-	degreeCache = memo.New[GraphSpec, []int32](maxGraphCacheEntries, 1, nil)
+	degreeCache = memo.New[GraphSpec, degreeEntry](maxGraphCacheEntries, 1, nil)
 	graphCache  = memo.New[GraphSpec, *graph.Graph](maxGraphCacheEntries, 1, nil)
 
 	// estimateCache memoizes Monte-Carlo maxᵢEᵢ estimates process-wide, so

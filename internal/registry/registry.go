@@ -480,11 +480,23 @@ func GraphDegrees(s GraphSpec) ([]int32, error) {
 // (the generation itself completes and is cached for later callers — see
 // memo.Cache.DoCtx).
 func GraphDegreesCtx(ctx context.Context, s GraphSpec) ([]int32, error) {
+	e, err := graphDegrees(ctx, s)
+	return e.degrees, err
+}
+
+// graphDegrees returns the spec's cached degree sequence together with its
+// fingerprint, generating and hashing it on the first request.
+func graphDegrees(ctx context.Context, s GraphSpec) (degreeEntry, error) {
 	if err := validateGraph(s); err != nil {
-		return nil, err
+		return degreeEntry{}, err
 	}
-	return degreeCache.DoCtx(ctx, s, func() ([]int32, error) {
-		return graphFamilies[s.Family].degrees(s)
+	return degreeCache.DoCtx(ctx, s, func() (degreeEntry, error) {
+		degrees, err := graphFamilies[s.Family].degrees(s)
+		if err != nil {
+			return degreeEntry{}, err
+		}
+		fnv, mix := memo.HashInt32s(degrees)
+		return degreeEntry{degrees: degrees, fnv: fnv, mix: mix}, nil
 	})
 }
 
@@ -995,11 +1007,11 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 	if trials < 0 || trials > maxMonteCarloTrials {
 		return core.Model{}, fmt.Errorf("registry: workload %q: trials %d outside [1, %d]", name, trials, maxMonteCarloTrials)
 	}
-	degrees, err := GraphDegreesCtx(ctx, *spec.Graph)
+	entry, err := graphDegrees(ctx, *spec.Graph)
 	if err != nil {
 		return core.Model{}, err
 	}
-	model, err := GraphInferenceModelCtx(ctx, name, degrees, opsPerEdge, node.EffectiveFlops(), trials, spec.Seed)
+	model, err := graphInferenceModel(ctx, name, entry, opsPerEdge, node.EffectiveFlops(), trials, spec.Seed)
 	if err != nil {
 		return core.Model{}, err
 	}
@@ -1012,7 +1024,7 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 		if states == 0 {
 			states = 2
 		}
-		payload := units.Bits(precision * float64(states) * float64(len(degrees)))
+		payload := units.Bits(precision * float64(states) * float64(len(entry.degrees)))
 		model.Communication = func(n int) units.Seconds {
 			return protocol.Time(payload, n)
 		}
@@ -1039,10 +1051,13 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 // pricing the point at +Inf, and the suite/planner evaluators convert that
 // panic into the cell's error.
 //
-// The degrees slice is fingerprinted once, at construction, and sampled
-// live at evaluation: the caller must not mutate it afterwards (the slices
-// GraphDegrees returns are shared read-only already), or the shared cache
-// could be poisoned with estimates keyed under the original contents.
+// Every call fingerprints the degrees slice (memo.HashInt32s) to key its
+// estimates; graph-family models built through BuildModel skip that and
+// reuse the fingerprint the degree cache computed when it generated the
+// sequence. The slice is sampled live at evaluation: the caller must not
+// mutate it afterwards (the slices GraphDegrees returns are shared
+// read-only already), or the shared cache could be poisoned with estimates
+// keyed under the original contents.
 func GraphInferenceModel(name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
 	return GraphInferenceModelCtx(context.Background(), name, degrees, opsPerEdge, f, trials, seed)
 }
@@ -1057,6 +1072,14 @@ func GraphInferenceModel(name string, degrees []int32, opsPerEdge float64, f uni
 // cancelled kernel is never cached, so the next un-cancelled caller
 // recomputes cleanly.
 func GraphInferenceModelCtx(ctx context.Context, name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
+	fnv, mix := memo.HashInt32s(degrees)
+	return graphInferenceModel(ctx, name, degreeEntry{degrees: degrees, fnv: fnv, mix: mix}, opsPerEdge, f, trials, seed)
+}
+
+// graphInferenceModel is GraphInferenceModelCtx over a degree sequence
+// whose fingerprint is already known.
+func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
+	degrees, fnv, mix := entry.degrees, entry.fnv, entry.mix
 	if len(degrees) == 0 {
 		return core.Model{}, fmt.Errorf("registry: graph inference %q: empty degree sequence", name)
 	}
@@ -1069,7 +1092,6 @@ func GraphInferenceModelCtx(ctx context.Context, name string, degrees []int32, o
 	if trials < 1 {
 		return core.Model{}, fmt.Errorf("registry: graph inference %q: trials %d < 1", name, trials)
 	}
-	fnv, mix := memo.HashInt32s(degrees)
 	keyFor := func(n int) estimateKey {
 		return estimateKey{fnv: fnv, mix: mix, vertices: len(degrees), workers: n, trials: trials, seed: seed}
 	}

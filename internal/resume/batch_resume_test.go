@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dmlscale/internal/ckpt"
+	"dmlscale/internal/memo"
 	"dmlscale/internal/registry"
 	"dmlscale/internal/scenario"
 )
@@ -85,12 +86,25 @@ func TestKillMidBatchedSweepResume(t *testing.T) {
 	// The raw journal must hold one kernel record per estimate key — each
 	// with full coordinates and a single worker count — and, per graph, a
 	// record for every point of the batch-filled worker axis. A journal that
-	// recorded whole batches (or recorded keys twice) breaks this.
+	// recorded whole batches (or recorded keys twice) breaks this. Each
+	// record's fingerprint must be memo.HashInt32s of one suite graph's
+	// degrees: a carried fingerprint that drifted from that content hash
+	// would orphan every existing journal on resume.
 	j, _, entries, err := ckpt.Open(path)
 	if err != nil {
 		t.Fatalf("reopen raw journal: %v", err)
 	}
 	j.Close()
+	type fingerprint struct{ fnv, mix uint64 }
+	content := make(map[fingerprint]bool)
+	for i := 0; i < cells; i++ {
+		degrees, err := registry.GraphDegrees(registry.GraphSpec{Family: "dns", Vertices: 1200, Seed: int64(9000 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fnv, mix := memo.HashInt32s(degrees)
+		content[fingerprint{fnv, mix}] = true
+	}
 	type kkey struct {
 		fnv, mix uint64
 		workers  int
@@ -108,6 +122,9 @@ func TestKillMidBatchedSweepResume(t *testing.T) {
 		}
 		if kr.Workers < 1 || kr.Vertices != 1200 || kr.Trials != 2 {
 			t.Fatalf("kernel record missing coordinates: %+v", kr)
+		}
+		if !content[fingerprint{kr.Fingerprint, kr.Mix}] {
+			t.Errorf("kernel record %+v: fingerprint is not HashInt32s of any suite graph's degrees", kr)
 		}
 		kernels++
 		perKey[kkey{kr.Fingerprint, kr.Mix, kr.Workers}]++

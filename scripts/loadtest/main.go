@@ -2,7 +2,8 @@
 // running dmls-serve and summarizes what the service did under pressure:
 // request latencies (p50/p99 of successful requests), how much load was
 // shed with 429, and whether /healthz answered throughout. scripts/
-// loadtest.sh drives it and records the summary as BENCH_PR<n>.json.
+// loadtest.sh drives it, prints the summary and, when OUT is set, also
+// writes it to that path.
 //
 // Exit is non-zero when the service misbehaved: any request neither served
 // nor cleanly shed, zero successful requests, or a failed liveness probe.
