@@ -121,11 +121,12 @@ func run(args []string, stderr *os.File) int {
 
 	if n := *chaosKernel; n > 0 {
 		// Chaos drill: every kernel coordinate fails its first n attempts
-		// with a transient fault. With n within the retry policy's attempts
-		// the service absorbs the faults (retries, no user-visible errors);
-		// past it, failures surface, the breakers trip and the degraded
-		// path serves — the loadtest script uses exactly this to rehearse
-		// trip-and-recover.
+		// with a transient fault. With n below the retry policy's attempts
+		// per kernel computation (3 by default) the service absorbs the
+		// faults on sweeps and plans alike (retries, no user-visible
+		// errors); at or past it, failures surface, the breakers trip and
+		// the degraded path serves. The loadtest script rehearses both
+		// sides.
 		fmt.Fprintf(stderr, "dmls-serve: CHAOS: failing the first %d attempts of every kernel computation\n", n)
 		registry.SetKernelFault(func(c registry.KernelCall) registry.KernelFault {
 			if c.Attempt < n {

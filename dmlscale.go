@@ -157,7 +157,7 @@ func GradientDescentWeak(w Workload, node Node, protocol CommModel) (Model, erro
 // that cache by its contents at construction time and read again at each
 // evaluation, so it must not be mutated after this call.
 func GraphInference(name string, degrees []int32, opsPerEdge float64, f Flops, trials int, seed int64) (Model, error) {
-	return registry.GraphInferenceModel(name, degrees, opsPerEdge, f, trials, seed)
+	return registry.GraphInferenceModelCtx(context.Background(), name, degrees, opsPerEdge, f, trials, seed)
 }
 
 // Hardware catalog (the paper's testbeds).

@@ -102,7 +102,7 @@ func New(cmd Command, stdout, stderr io.Writer) *Harness {
 		keepGoing:   fs.Bool("keep-going", false, "exit 0 even when some scenarios fail (a fully failed suite still exits 1)"),
 		ckptPath:    fs.String("checkpoint", "", cmd.Usage.Checkpoint),
 		resume:      fs.Bool("resume", false, cmd.Usage.Resume),
-		retries:     fs.Int("retries", -1, "max retries per transient fault at the kernel and cell layers; 0 disables retry, -1 keeps the default (2)"),
+		retries:     fs.Int("retries", -1, "max retries of each kernel computation after a transient fault; 0 disables retry, -1 keeps the default (2)"),
 	}
 }
 
@@ -257,9 +257,7 @@ func applyRetries(retries int) {
 	if retries < 0 {
 		return
 	}
-	p := resilience.Default()
-	p.MaxAttempts = retries + 1
-	resilience.SetDefault(p)
+	resilience.SetDefault(resilience.Policy{MaxAttempts: retries + 1})
 }
 
 // writeTrace flushes the recorded spans as a Chrome/Perfetto trace file.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -53,25 +52,15 @@ type JobResult struct {
 	// BuildTime and SampleTime split the job's wall time between model
 	// construction (Build: graph generation, catalog resolution) and curve
 	// sampling (time evaluation, Monte-Carlo estimation). Both are zero on
-	// deduped results. On a retried job they sum across attempts, so the
-	// time a flaky cell actually cost is what gets reported.
+	// deduped results.
 	BuildTime  time.Duration
 	SampleTime time.Duration
-	// Retries counts how many whole-job re-attempts the retry policy took
-	// after transient failures (kernel-level retries inside the registry
-	// are not included — they resolve below the job). 0 on the common path.
-	Retries int
 }
 
 // IsCancelled reports whether the result records a context cancellation or
 // deadline expiry rather than a model failure.
 func (r JobResult) IsCancelled() bool {
-	return isCtxErr(r.Err)
-}
-
-// isCtxErr reports whether err wraps a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return resilience.IsCancelled(r.Err)
 }
 
 // cancelResult is the result of a job abandoned before (or during)
@@ -131,45 +120,14 @@ func recordDedup(ctx context.Context, name string) {
 	sp.End()
 }
 
-// evaluateOne runs a single job under the process retry policy: transient
-// failures (resilience.IsTransient — injected kernel faults, attempt
-// timeouts) re-evaluate the whole job with capped jittered backoff, as
-// long as the policy's attempt cap and the shared retry budget allow.
-// Deterministic failures and cancellations never retry. The result's
-// Retries counts the re-attempts and its build/sample times sum across
-// them; the values of a retried success are bit-identical to a never-
-// faulted run's, because every model this module builds is deterministic.
-func evaluateOne(ctx context.Context, job Job) JobResult {
-	res := evaluateOnce(ctx, job)
-	if res.Err == nil {
-		resilience.Default().OnSuccess()
-		return res
-	}
-	pol := resilience.Default()
-	key := resilience.Key(job.Name)
-	for attempt := 0; res.Err != nil && pol.ShouldRetry(ctx, res.Err, attempt); attempt++ {
-		if !resilience.Sleep(ctx, pol.Delay(key, attempt)) {
-			break
-		}
-		again := evaluateOnce(ctx, job)
-		again.Retries = attempt + 1
-		again.BuildTime += res.BuildTime
-		again.SampleTime += res.SampleTime
-		res = again
-		if res.Err == nil {
-			pol.OnSuccess()
-		}
-	}
-	return res
-}
-
-// evaluateOnce runs a single attempt of a job, converting panics into
-// errors so a broken model cannot kill the pool. A done context
-// short-circuits to a cancelled result, and a panic that carries a context
-// error — the idiom model closures use to surface cancellation from inside
-// context-blind Model methods — unwraps to a clean cancelled result
-// instead of a "panicked" error.
-func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
+// evaluateOne runs a single job, converting panics into errors so a broken
+// model cannot kill the pool. A done context short-circuits to a cancelled
+// result, and a panic that carries a context error — the idiom model
+// closures use to surface cancellation from inside context-blind Model
+// methods — unwraps to a clean cancelled result instead of a "panicked"
+// error. Transient kernel faults were already retried inside the kernel
+// fill (internal/registry), so a job is evaluated exactly once.
+func evaluateOne(ctx context.Context, job Job) (res JobResult) {
 	res.Name = job.Name
 	// The cell span parents everything the job does — including kernel
 	// work the model runs at sample time through the build-captured ctx —
@@ -182,12 +140,12 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	var bspan, sspan *obs.Span
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && isCtxErr(err) {
+			if err, ok := r.(error); ok && resilience.IsCancelled(err) {
 				res = cancelResult(job.Name, err)
 			} else if err, ok := r.(error); ok {
 				// Wrap, don't format: the panic idiom carries typed errors
 				// (kernel failures, injected transient faults) whose chain
-				// the retry classification must still see through.
+				// the serve breakers still classify.
 				res.Err = fmt.Errorf("core: job %q panicked: %w", job.Name, err)
 			} else {
 				res.Err = fmt.Errorf("core: job %q panicked: %v", job.Name, r)
@@ -211,7 +169,7 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	bspan.End()
 	res.BuildTime = time.Since(start)
 	if err != nil {
-		if isCtxErr(err) {
+		if resilience.IsCancelled(err) {
 			return cancelResult(job.Name, err)
 		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)
@@ -227,7 +185,7 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	sspan.End()
 	res.SampleTime = time.Since(start)
 	if err != nil {
-		if isCtxErr(err) {
+		if resilience.IsCancelled(err) {
 			return cancelResult(job.Name, err)
 		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)

@@ -29,7 +29,6 @@ package memo
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -356,13 +355,6 @@ func (c *Cache[K, V]) drop(st *stripe[K, V], key K, e *entry[V]) {
 		c.drops.Add(1)
 	}
 	st.mu.Unlock()
-}
-
-// IsContextError reports whether err carries a context cancellation or
-// deadline expiry — the test evaluation layers use to distinguish "this
-// request was abandoned" from "this model is broken".
-func IsContextError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Len returns the current number of cached keys across all stripes.

@@ -251,20 +251,9 @@ func TrialSeed(seed int64, trial int) uint64 {
 // in index order, so the estimate is bit-identical at any parallelism —
 // and, because the stream does not depend on the worker count, bit-identical
 // to the same coordinates inside any MonteCarloMaxEdgesBatch worker set.
+// It is the one-element batch, run without cancellation.
 func MonteCarloMaxEdges(degrees []int32, workers, trials int, seed int64) (Estimate, error) {
-	return MonteCarloMaxEdgesCtx(context.Background(), degrees, workers, trials, seed)
-}
-
-// MonteCarloMaxEdgesCtx is MonteCarloMaxEdges under a context: every shard
-// checks ctx between trials, so a deadline or abort interrupts the kernel in
-// roughly one trial's latency rather than after the full batch. A cancelled
-// run returns ctx's error (wrapped) and no estimate — a partial trial mean
-// would be a silently different, seed-order-dependent statistic. Results of
-// uncancelled runs are bit-identical to MonteCarloMaxEdges at any
-// parallelism. It is exactly the one-element batch: see
-// MonteCarloMaxEdgesBatch, which it delegates to.
-func MonteCarloMaxEdgesCtx(ctx context.Context, degrees []int32, workers, trials int, seed int64) (Estimate, error) {
-	ests, err := MonteCarloMaxEdgesBatch(ctx, degrees, []int{workers}, trials, seed)
+	ests, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, []int{workers}, trials, seed)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -293,9 +282,11 @@ func MonteCarloMaxEdgesCtx(ctx context.Context, degrees []int32, workers, trials
 // Trials shard across the shared parallelism budget and trial maxima are
 // reduced in index order, so every estimate is bit-identical at any
 // parallelism, for any worker-count subset and order: Batch(W)[w] ==
-// Batch({w})[w] == MonteCarloMaxEdges(..., w, ...). Cancellation follows
-// MonteCarloMaxEdgesCtx: checked between trials, a cancelled run returns
-// ctx's error and no estimates.
+// Batch({w})[w] == MonteCarloMaxEdges(..., w, ...). Every shard checks ctx
+// between trials, so a deadline or abort interrupts the kernel in roughly
+// one trial's latency; a cancelled run returns ctx's error (wrapped) and no
+// estimates — a partial trial mean would be a silently different,
+// seed-order-dependent statistic.
 func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts []int, trials int, seed int64) ([]Estimate, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("partition: %d trials", trials)

@@ -124,7 +124,7 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	stats.Scenarios = len(plans)
 	for i := range plans {
 		switch {
-		case plans[i].Err != nil && isCtxErr(plans[i].Err):
+		case plans[i].Err != nil && resilience.IsCancelled(plans[i].Err):
 			stats.Cancelled++
 		case plans[i].Err != nil:
 			stats.Failed++

@@ -26,7 +26,6 @@ package planner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -36,6 +35,7 @@ import (
 	"dmlscale/internal/convergence"
 	"dmlscale/internal/obs"
 	"dmlscale/internal/registry"
+	"dmlscale/internal/resilience"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/units"
 )
@@ -154,11 +154,6 @@ func PlanScenario(sc scenario.Scenario) (Plan, error) {
 	return p, p.Err
 }
 
-// isCtxErr reports whether err wraps a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // cancelledPlan is the plan of a scenario abandoned by cancellation; its
 // error wraps the context's, so errors.Is distinguishes it from a model
 // failure.
@@ -191,7 +186,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 	span.SetString("cell", sc.Name)
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && isCtxErr(err) {
+			if err, ok := r.(error); ok && resilience.IsCancelled(err) {
 				p = cancelledPlan(sc, err)
 			} else if err, ok := r.(error); ok {
 				// Wrap rather than flatten: classification (e.g. transient
@@ -280,7 +275,7 @@ func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice stri
 	p.Notice = notice
 	model, err := sc.ModelCtx(ctx)
 	if err != nil {
-		if isCtxErr(err) {
+		if resilience.IsCancelled(err) {
 			return cancelledPlan(sc, err)
 		}
 		p.Err = err

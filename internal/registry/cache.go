@@ -100,11 +100,11 @@ var (
 // CacheStats is a point-in-time snapshot of every process-wide registry
 // cache, one memo.Stats per layer.
 type CacheStats struct {
-	// Degrees counts generated degree sequences (GraphDegrees).
+	// Degrees counts generated degree sequences (GraphDegreesCtx).
 	Degrees memo.Stats
 	// Graphs counts materialized graphs (BuildGraph).
 	Graphs memo.Stats
-	// Estimates counts Monte-Carlo maxᵢEᵢ kernels (GraphInferenceModel) —
+	// Estimates counts Monte-Carlo maxᵢEᵢ kernels (GraphInferenceModelCtx) —
 	// the hot one: its misses are the number of distinct estimations
 	// actually performed.
 	Estimates memo.Stats

@@ -43,8 +43,8 @@ type KernelCall struct {
 	// attempted while the current hook has been installed (0 on the
 	// first), so a hook can script "fail N times then succeed"
 	// deterministically: `if call.Attempt < N { return fault }`. The
-	// counter persists across retries, re-evaluations and cell-level
-	// retries; SetKernelFault resets it. Zero when no hook is installed.
+	// counter persists across retries and re-evaluations; SetKernelFault
+	// resets it. Zero when no hook is installed.
 	Attempt int
 }
 

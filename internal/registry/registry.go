@@ -400,7 +400,7 @@ func materialized(build func(GraphSpec) (*graph.Graph, error)) graphEntry {
 
 // graphFamilies is THE graph-family registry — the only name→generator
 // switch in the module. The dns and power-law builders recurse through the
-// cached GraphDegrees, so the map is filled in init to break the
+// cached GraphDegreesCtx, so the map is filled in init to break the
 // initialization cycle.
 var graphFamilies map[string]graphEntry
 
@@ -411,9 +411,9 @@ func init() {
 				return graph.ScaledDNSGraph(s.Vertices).Degrees(s.Seed)
 			},
 			build: func(s GraphSpec) (*graph.Graph, error) {
-				// GraphDegrees, not the raw generator: materializing a cached
-				// spec reuses its cached degree sequence.
-				degrees, err := GraphDegrees(s)
+				// GraphDegreesCtx, not the raw generator: materializing a
+				// cached spec reuses its cached degree sequence.
+				degrees, err := GraphDegreesCtx(context.TODO(), s)
 				if err != nil {
 					return nil, err
 				}
@@ -425,7 +425,7 @@ func init() {
 				return graph.PowerLawDegrees(s.Vertices, s.Edges, s.MaxDegree, s.Seed)
 			},
 			build: func(s GraphSpec) (*graph.Graph, error) {
-				degrees, err := GraphDegrees(s)
+				degrees, err := GraphDegreesCtx(context.TODO(), s)
 				if err != nil {
 					return nil, err
 				}
@@ -465,20 +465,14 @@ func validateGraph(s GraphSpec) error {
 	return nil
 }
 
-// GraphDegrees generates the degree sequence of the described graph — all
-// the paper's graph-inference model needs. Results are cached by the full
-// spec in a bounded single-flight LRU (see cache.go), so a sweep grid whose
-// cells share one graph generates it once; the returned slice is shared
-// with every other caller of the same spec and must be treated as
-// read-only.
-func GraphDegrees(s GraphSpec) ([]int32, error) {
-	return GraphDegreesCtx(context.Background(), s)
-}
-
-// GraphDegreesCtx is GraphDegrees under a context: a caller waiting on
-// another goroutine's in-flight generation abandons the wait when ctx fires
-// (the generation itself completes and is cached for later callers — see
-// memo.Cache.DoCtx).
+// GraphDegreesCtx generates the degree sequence of the described graph —
+// all the paper's graph-inference model needs. Results are cached by the
+// full spec in a bounded single-flight LRU (see cache.go), so a sweep grid
+// whose cells share one graph generates it once; the returned slice is
+// shared with every other caller of the same spec and must be treated as
+// read-only. A caller waiting on another goroutine's in-flight generation
+// abandons the wait when ctx fires (the generation itself completes and is
+// cached for later callers — see memo.Cache.DoCtx).
 func GraphDegreesCtx(ctx context.Context, s GraphSpec) ([]int32, error) {
 	e, err := graphDegrees(ctx, s)
 	return e.degrees, err
@@ -501,7 +495,7 @@ func graphDegrees(ctx context.Context, s GraphSpec) (degreeEntry, error) {
 }
 
 // BuildGraph materializes the described graph for algorithms that need the
-// edges, not just the degrees. Like GraphDegrees it caches by spec; the
+// edges, not just the degrees. Like GraphDegreesCtx it caches by spec; the
 // returned graph is shared and must not be mutated.
 func BuildGraph(s GraphSpec) (*graph.Graph, error) {
 	if err := validateGraph(s); err != nil {
@@ -705,15 +699,12 @@ type Family struct {
 	Name string
 	// Description is a one-line summary for catalogs and CLI help.
 	Description string
-	// Build constructs the core model for a validated spec.
-	Build func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error)
-	// BuildCtx, when non-nil, supersedes Build for context-aware callers:
-	// it binds the evaluation context into the model so construction- and
+	// Build constructs the core model for a validated spec. The graph
+	// families bind ctx into the model so construction- and
 	// evaluation-time kernel work (degree generation, Monte-Carlo
-	// estimation) observes cancellation. Families whose models are pure
-	// closed-form leave it nil — their Build is instantaneous and their
-	// models never block.
-	BuildCtx func(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error)
+	// estimation) observes cancellation; the closed-form families ignore
+	// it — their models never block.
+	Build func(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error)
 	// Iteration builds the per-iteration hook convergence-aware planning
 	// composes with an iteration rule. Nil for families with no
 	// iteration/batch notion (the graph-inference families), where the
@@ -745,7 +736,7 @@ var families = map[string]Family{
 	"gd-strong": {
 		Name:        "gd-strong",
 		Description: "strong-scaling gradient descent: t = C·S/(F·n) + t_cm(W, n)",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
 			w, err := gdWorkload(name, spec)
 			if err != nil {
 				return core.Model{}, err
@@ -788,7 +779,7 @@ var families = map[string]Family{
 	"gd-weak": {
 		Name:        "gd-weak",
 		Description: "weak-scaling gradient descent: fixed per-worker batch, per-instance time",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
 			w, err := gdWorkload(name, spec)
 			if err != nil {
 				return core.Model{}, err
@@ -838,23 +829,17 @@ var families = map[string]Family{
 	"graph-inference": {
 		Name:        "graph-inference",
 		Description: "graphical-model inference: t_cp ∝ Monte-Carlo maxᵢEᵢ · ops/edge",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-			return buildGraphInference(context.Background(), name, spec, node, protocol)
-		},
-		BuildCtx: buildGraphInference,
+		Build:       buildGraphInference,
 	},
 	"mrf": {
 		Name:        "mrf",
 		Description: "pairwise-MRF belief propagation: ops/edge = c(S) = S + 2·(S + S²)",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-			return buildMRF(context.Background(), name, spec, node, protocol)
-		},
-		BuildCtx: buildMRF,
+		Build:       buildMRF,
 	},
 	"async-gd": {
 		Name:        "async-gd",
 		Description: "asynchronous gradient descent: pipelined updates, staleness-penalized speedup",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
 			m, err := asyncModel(name, spec, node, protocol)
 			if err != nil {
 				return core.Model{}, err
@@ -1032,9 +1017,9 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 	return model, nil
 }
 
-// GraphInferenceModel builds the paper's graphical-model inference model
-// (§IV-B): computation proportional to the Monte-Carlo estimate of the
-// maximum per-worker edge count for the given degree sequence. The
+// GraphInferenceModelCtx builds the paper's graphical-model inference
+// model (§IV-B): computation proportional to the Monte-Carlo estimate of
+// the maximum per-worker edge count for the given degree sequence. The
 // estimates come from the process-wide kernel cache (see cache.go), keyed
 // by (degree-sequence fingerprint, worker count, trials, seed), so
 // identical estimates are computed exactly once across all model instances,
@@ -1051,26 +1036,22 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 // pricing the point at +Inf, and the suite/planner evaluators convert that
 // panic into the cell's error.
 //
+// The evaluation context is bound into the model at construction:
+// Model.Time is context-blind, so the kernel closure captures ctx and
+// surfaces cancellation the same way it surfaces estimator errors — a
+// panic carrying the (wrapped) context error, which the suite/planner
+// evaluators unwrap into the cell's cancelled result. Cancellation reaches
+// both the Monte-Carlo trial loop (checked between trials) and waits on
+// another goroutine's in-flight kernel; a cancelled kernel is never
+// cached, so the next un-cancelled caller recomputes cleanly.
+//
 // Every call fingerprints the degrees slice (memo.HashInt32s) to key its
-// estimates; graph-family models built through BuildModel skip that and
+// estimates; graph-family models built through BuildModelCtx skip that and
 // reuse the fingerprint the degree cache computed when it generated the
 // sequence. The slice is sampled live at evaluation: the caller must not
-// mutate it afterwards (the slices GraphDegrees returns are shared
+// mutate it afterwards (the slices GraphDegreesCtx returns are shared
 // read-only already), or the shared cache could be poisoned with estimates
 // keyed under the original contents.
-func GraphInferenceModel(name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
-	return GraphInferenceModelCtx(context.Background(), name, degrees, opsPerEdge, f, trials, seed)
-}
-
-// GraphInferenceModelCtx is GraphInferenceModel with the evaluation context
-// bound into the model at construction: Model.Time is context-blind, so the
-// kernel closure captures ctx and surfaces cancellation the same way it
-// surfaces estimator errors — a panic carrying the (wrapped) context error,
-// which the suite/planner evaluators unwrap into the cell's cancelled
-// result. Cancellation reaches both the Monte-Carlo trial loop (checked
-// between trials) and waits on another goroutine's in-flight kernel; a
-// cancelled kernel is never cached, so the next un-cancelled caller
-// recomputes cleanly.
 func GraphInferenceModelCtx(ctx context.Context, name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
 	fnv, mix := memo.HashInt32s(degrees)
 	return graphInferenceModel(ctx, name, degreeEntry{degrees: degrees, fnv: fnv, mix: mix}, opsPerEdge, f, trials, seed)
@@ -1095,33 +1076,15 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 	keyFor := func(n int) estimateKey {
 		return estimateKey{fnv: fnv, mix: mix, vertices: len(degrees), workers: n, trials: trials, seed: seed}
 	}
-	// The batch set is the full worker axis the evaluation spine announced
-	// via WithKernelWorkerSet (scenario.ModelCtx sets it to the curve's
-	// 1..MaxN range). The first sampled point inside the set fills every
-	// point's estimate from one common-random-numbers kernel pass; points
-	// outside the set — and models built without a hint — compute one key
-	// at a time, exactly as before. Either path yields bit-identical
-	// estimates; the hint only changes how many RNG passes they cost.
-	batchSet := KernelWorkerSet(ctx)
-	inBatch := make(map[int]bool, len(batchSet))
-	for _, w := range batchSet {
-		inBatch[w] = true
-	}
-	var (
-		batchOnce sync.Once
-		batchVals map[int]float64
-		batchErr  error
-	)
-	fillBatch := func() {
-		keys := make([]estimateKey, len(batchSet))
-		for i, w := range batchSet {
-			keys[i] = keyFor(w)
-		}
-		vals, err := estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
-			// Only cache misses reach this closure — one batched pass for
-			// however many of the set's keys are still unfilled; the span
-			// and the process-wide compute-time accumulator measure actual
-			// kernel work. missing preserves the set's ascending order.
+	// fill returns the estimates of keys (ascending workers) through the
+	// estimate cache. Only the missing keys reach the kernel, all of them
+	// in one common-random-numbers pass, so the span and the process-wide
+	// compute-time accumulator measure actual kernel work — hits and
+	// single-flight waits cost neither. Transient faults retry inside that
+	// single flight, so every waiter coalesced on a key rides its retries
+	// instead of spawning its own, on the shared retry budget.
+	fill := func(keys []estimateKey) ([]float64, error) {
+		return estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
 			kstart := time.Now()
 			kctx, kspan := obs.Start(ctx, "kernel")
 			kspan.SetInt("batch", int64(len(missing)))
@@ -1136,32 +1099,26 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 			for i, k := range missing {
 				wcounts[i] = k.workers
 			}
-			// Transient faults retry the whole batch inside its single
-			// fill, on the same shared retry budget as single computes.
 			var ests []partition.Estimate
-			retryKey := memo.Mix(fnv, mix, uint64(len(degrees)), uint64(trials), uint64(seed))
-			err := resilience.Default().Do(kctx, retryKey, func(actx context.Context, attempt int) error {
+			err := resilience.Default().Do(kctx, missing[0].hash(), func() error {
 				// The fault hook fires per key — a chaos hook targeting one
 				// worker count sees its coordinates inside a batch too —
-				// and every key sees every batch attempt (first fault wins,
-				// but the sweep continues), so "fail N times then succeed"
-				// scripts behave the same batched as single: one batched
-				// kernel invocation is one attempt at every coordinate.
+				// and every key sees every attempt (first fault wins), so
+				// one kernel invocation is one attempt at every coordinate
+				// and "fail N times then succeed" scripts behave the same
+				// whatever the batch size.
 				var faultErr error
 				for _, k := range missing {
-					if err := injectKernelFault(actx, k.call()); err != nil && faultErr == nil {
+					if err := injectKernelFault(kctx, k.call()); err != nil && faultErr == nil {
 						faultErr = err
 					}
 				}
 				if faultErr != nil {
 					return faultErr
 				}
-				es, err := partition.MonteCarloMaxEdgesBatch(actx, degrees, wcounts, trials, seed)
-				if err != nil {
-					return err
-				}
+				es, err := partition.MonteCarloMaxEdgesBatch(kctx, degrees, wcounts, trials, seed)
 				ests = es
-				return nil
+				return err
 			})
 			if err != nil {
 				kspan.SetError(err)
@@ -1174,80 +1131,68 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 				// journal must replay estimate by estimate (SeedEstimate).
 				observeKernel(k.call(), out[i])
 			}
-			kernelBatches.Add(1)
-			kernelBatchKeys.Add(int64(len(missing)))
+			if len(keys) == 1 {
+				kernelSingles.Add(1)
+			} else {
+				kernelBatches.Add(1)
+				kernelBatchKeys.Add(int64(len(missing)))
+			}
 			return out, nil
 		})
-		if err != nil {
-			batchErr = err
-			return
-		}
-		m := make(map[int]float64, len(batchSet))
-		for i, w := range batchSet {
-			m[w] = vals[i]
-		}
-		batchVals = m
 	}
+	// The batch set is the full worker axis the evaluation spine announced
+	// via WithKernelWorkerSet (scenario.ModelCtx sets it to the curve's
+	// 1..MaxN range). The first sampled point inside the set fills every
+	// point's estimate at once; points outside the set — and models built
+	// without a hint — fill their own key on each call. Either way the
+	// estimates are bit-identical; the hint only changes how many kernel
+	// passes they cost.
+	batchSet := KernelWorkerSet(ctx)
+	inBatch := make(map[int]bool, len(batchSet))
+	for _, w := range batchSet {
+		inBatch[w] = true
+	}
+	var (
+		batchOnce sync.Once
+		batchVals map[int]float64
+		batchErr  error
+	)
 	maxEdges := func(n int) float64 {
 		// Guard before touching the cache so a misuse cannot occupy a slot.
 		if n < 1 {
 			panic(fmt.Errorf("registry: graph inference %q: worker count %d < 1", name, n))
 		}
 		if len(batchSet) > 1 && inBatch[n] {
-			// One DoBatch per model instance (sync.Once): the fill puts the
-			// whole set in a local snapshot, so the other curve points ask
-			// the shared cache nothing at all. A failed fill fails this
-			// model instance only — a cell retry rebuilds the model and
-			// refills; the cache itself dropped the failed entries already.
-			batchOnce.Do(fillBatch)
+			// One fill per model instance (sync.Once) puts the whole set in
+			// a local snapshot, so the other curve points ask the shared
+			// cache nothing at all. A failed fill fails this model instance
+			// only; the cache dropped the failed entries, so the next model
+			// built on these coordinates refills them.
+			batchOnce.Do(func() {
+				keys := make([]estimateKey, len(batchSet))
+				for i, w := range batchSet {
+					keys[i] = keyFor(w)
+				}
+				vals, err := fill(keys)
+				if err != nil {
+					batchErr = err
+					return
+				}
+				batchVals = make(map[int]float64, len(batchSet))
+				for i, w := range batchSet {
+					batchVals[w] = vals[i]
+				}
+			})
 			if batchErr != nil {
 				panic(fmt.Errorf("registry: graph inference %q: %w", name, batchErr))
 			}
 			return batchVals[n]
 		}
-		key := keyFor(n)
-		call := key.call()
-		v, err := estimateCache.DoCtx(ctx, key, func() (float64, error) {
-			// Only cache misses reach this closure, so the span and the
-			// process-wide compute-time accumulator measure actual kernel
-			// work — hits and single-flight waits cost neither.
-			kstart := time.Now()
-			kctx, kspan := obs.Start(ctx, "kernel")
-			kspan.SetInt("workers", int64(n))
-			kspan.SetInt("trials", int64(trials))
-			kspan.SetInt("vertices", int64(len(degrees)))
-			defer func() {
-				kspan.End()
-				kernelComputeNanos.Add(int64(time.Since(kstart)))
-			}()
-			// Transient faults retry here, inside the single-flight entry,
-			// so every waiter coalesced on this key rides the retries
-			// instead of spawning its own — a failing-cell storm cannot
-			// amplify kernel load past the shared retry budget.
-			var maxE float64
-			err := resilience.Default().Do(kctx, key.hash(), func(actx context.Context, attempt int) error {
-				if err := injectKernelFault(actx, call); err != nil {
-					return err
-				}
-				est, err := partition.MonteCarloMaxEdgesCtx(actx, degrees, n, trials, seed)
-				if err != nil {
-					return err
-				}
-				maxE = est.MaxEdges
-				return nil
-			})
-			if err != nil {
-				kspan.SetError(err)
-				return 0, err
-			}
-			observeKernel(call, maxE)
-			kernelSingles.Add(1)
-			return maxE, nil
-		})
+		vals, err := fill([]estimateKey{keyFor(n)})
 		if err != nil {
 			panic(fmt.Errorf("registry: graph inference %q: %w", name, err))
 		}
-		return v
+		return vals[0]
 	}
 	return core.Model{
 		Name: name,
@@ -1282,29 +1227,16 @@ func Families() []string {
 	return sortedKeys(families)
 }
 
-// BuildModel constructs the core model one (family, workload, hardware,
+// BuildModelCtx constructs the core model one (family, workload, hardware,
 // protocol) point describes — the single construction path behind the
-// scenario schema, the CLIs and the experiment harness.
-func BuildModel(family, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-	f, err := LookupFamily(family)
-	if err != nil {
-		return core.Model{}, err
-	}
-	return f.Build(name, spec, node, protocol)
-}
-
-// BuildModelCtx is BuildModel with the evaluation context bound into the
-// model (see Family.BuildCtx); families without kernel work fall back to
-// their context-blind Build.
+// scenario schema, the CLIs and the experiment harness — with the
+// evaluation context bound into the model (see Family.Build).
 func BuildModelCtx(ctx context.Context, family, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
 	f, err := LookupFamily(family)
 	if err != nil {
 		return core.Model{}, err
 	}
-	if f.BuildCtx != nil {
-		return f.BuildCtx(ctx, name, spec, node, protocol)
-	}
-	return f.Build(name, spec, node, protocol)
+	return f.Build(ctx, name, spec, node, protocol)
 }
 
 // BuildIterationModel constructs the per-iteration planning hook of a

@@ -151,7 +151,7 @@ func TestGraphFamilies(t *testing.T) {
 			spec.Edges = 1024
 			spec.MaxDegree = 32
 		}
-		degrees, err := GraphDegrees(spec)
+		degrees, err := GraphDegreesCtx(context.Background(), spec)
 		if err != nil {
 			t.Errorf("%s degrees: %v", family, err)
 			continue
@@ -168,13 +168,13 @@ func TestGraphFamilies(t *testing.T) {
 			t.Errorf("%s: degenerate graph V=%d E=%d", family, g.NumVertices(), g.NumEdges())
 		}
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "moebius", Vertices: 8}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "moebius", Vertices: 8}); err == nil {
 		t.Error("unknown family accepted")
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "grid", Vertices: 0}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "grid", Vertices: 0}); err == nil {
 		t.Error("zero vertices accepted")
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "grid", Vertices: maxGraphVertices + 1}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "grid", Vertices: maxGraphVertices + 1}); err == nil {
 		t.Error("oversized graph accepted")
 	}
 }
@@ -258,7 +258,7 @@ func TestBuildModelEveryFamily(t *testing.T) {
 		{"async-gd", asyncSpec},
 	}
 	for _, c := range cases {
-		model, err := BuildModel(c.family, c.family+" case", c.spec, node, protocol)
+		model, err := BuildModelCtx(context.Background(), c.family, c.family+" case", c.spec, node, protocol)
 		if err != nil {
 			t.Errorf("%s: %v", c.family, err)
 			continue
@@ -280,7 +280,7 @@ func TestBuildModelGoldenGDStrong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := BuildModel("gd-strong", "fig2", WorkloadSpec{
+	model, err := BuildModelCtx(context.Background(), "gd-strong", "fig2", WorkloadSpec{
 		FlopsPerExample: 6 * 12e6, BatchSize: 60000, Parameters: 12e6, PrecisionBits: 64,
 	}, node, protocol)
 	if err != nil {
@@ -300,7 +300,7 @@ func TestArchitectureFillsWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := BuildModel("gd-strong", "from catalog", WorkloadSpec{
+	model, err := BuildModelCtx(context.Background(), "gd-strong", "from catalog", WorkloadSpec{
 		Architecture: "fc-mnist", BatchSize: 60000, PrecisionBits: 64,
 	}, node, protocol)
 	if err != nil {
@@ -336,7 +336,7 @@ func TestBuildModelRejectsBadSpecs(t *testing.T) {
 		{"async-gd", WorkloadSpec{FlopsPerExample: 1, BatchSize: 1, Parameters: 1, ConvergencePenalty: -1}},
 	}
 	for i, c := range cases {
-		if _, err := BuildModel(c.family, "bad", c.spec, node, protocol); err == nil {
+		if _, err := BuildModelCtx(context.Background(), c.family, "bad", c.spec, node, protocol); err == nil {
 			t.Errorf("case %d (%s): bad spec accepted", i, c.family)
 		}
 	}
@@ -347,7 +347,7 @@ func TestGraphInferenceModelConcurrentMemo(t *testing.T) {
 	for i := range degrees {
 		degrees[i] = int32(1 + i%7)
 	}
-	model, err := GraphInferenceModel("race", degrees, 14, 1e9, 2, 11)
+	model, err := GraphInferenceModelCtx(context.Background(), "race", degrees, 14, 1e9, 2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +372,17 @@ func TestGraphInferenceModelConcurrentMemo(t *testing.T) {
 }
 
 func TestGraphInferenceModelRejectsDegenerateInputs(t *testing.T) {
+	ctx := context.Background()
 	degrees := []int32{1, 2, 3}
 	cases := []struct {
 		name string
 		err  func() error
 	}{
-		{"empty degrees", func() error { _, err := GraphInferenceModel("x", nil, 14, 1e9, 1, 0); return err }},
-		{"zero ops", func() error { _, err := GraphInferenceModel("x", degrees, 0, 1e9, 1, 0); return err }},
-		{"nan ops", func() error { _, err := GraphInferenceModel("x", degrees, math.NaN(), 1e9, 1, 0); return err }},
-		{"zero flops", func() error { _, err := GraphInferenceModel("x", degrees, 14, 0, 1, 0); return err }},
-		{"zero trials", func() error { _, err := GraphInferenceModel("x", degrees, 14, 1e9, 0, 0); return err }},
+		{"empty degrees", func() error { _, err := GraphInferenceModelCtx(ctx, "x", nil, 14, 1e9, 1, 0); return err }},
+		{"zero ops", func() error { _, err := GraphInferenceModelCtx(ctx, "x", degrees, 0, 1e9, 1, 0); return err }},
+		{"nan ops", func() error { _, err := GraphInferenceModelCtx(ctx, "x", degrees, math.NaN(), 1e9, 1, 0); return err }},
+		{"zero flops", func() error { _, err := GraphInferenceModelCtx(ctx, "x", degrees, 14, 0, 1, 0); return err }},
+		{"zero trials", func() error { _, err := GraphInferenceModelCtx(ctx, "x", degrees, 14, 1e9, 0, 0); return err }},
 	}
 	for _, c := range cases {
 		if c.err() == nil {
@@ -394,11 +395,11 @@ func TestGraphCacheReusesGeneration(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	spec := GraphSpec{Family: "dns", Vertices: 4000, Seed: 21}
-	a, err := GraphDegrees(spec)
+	a, err := GraphDegreesCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GraphDegrees(spec)
+	b, err := GraphDegreesCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestGraphCacheReusesGeneration(t *testing.T) {
 		t.Error("same spec regenerated its degree sequence instead of hitting the cache")
 	}
 	// A different seed is a different cache key.
-	other, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 4000, Seed: 22})
+	other, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 4000, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			degrees, err := GraphDegrees(spec)
+			degrees, err := GraphDegreesCtx(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -457,7 +458,7 @@ func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
 }
 
 func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
-	degrees, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 20000, Seed: 13})
+	degrees, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 20000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
 	}
 	curve := func(parallelism int) []float64 {
 		core.SetParallelism(parallelism)
-		model, err := GraphInferenceModel("determinism", degrees, 14, 1e9, 5, 99)
+		model, err := GraphInferenceModelCtx(context.Background(), "determinism", degrees, 14, 1e9, 5, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +503,7 @@ func TestGraphCacheEvictsLRU(t *testing.T) {
 	}
 	first := make([][]int32, maxGraphCacheEntries)
 	for i := 0; i < maxGraphCacheEntries; i++ {
-		degrees, err := GraphDegrees(spec(i))
+		degrees, err := GraphDegreesCtx(context.Background(), spec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,20 +513,20 @@ func TestGraphCacheEvictsLRU(t *testing.T) {
 		t.Fatalf("cache holds %d specs after filling, cap is %d", n, maxGraphCacheEntries)
 	}
 	// Touch spec 0 so spec 1 becomes the LRU, then overflow by one.
-	if degrees, err := GraphDegrees(spec(0)); err != nil || &degrees[0] != &first[0][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(0)); err != nil || &degrees[0] != &first[0][0] {
 		t.Fatalf("touching spec 0 regenerated it (err %v)", err)
 	}
-	if _, err := GraphDegrees(spec(maxGraphCacheEntries)); err != nil {
+	if _, err := GraphDegreesCtx(context.Background(), spec(maxGraphCacheEntries)); err != nil {
 		t.Fatal(err)
 	}
 	if n := degreeCache.Len(); n != maxGraphCacheEntries {
 		t.Fatalf("cache holds %d specs after overflow, cap is %d", n, maxGraphCacheEntries)
 	}
 	// Spec 0 survived (recently used); spec 1 was evicted and regenerates.
-	if degrees, err := GraphDegrees(spec(0)); err != nil || &degrees[0] != &first[0][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(0)); err != nil || &degrees[0] != &first[0][0] {
 		t.Errorf("recently used spec was evicted (err %v)", err)
 	}
-	if degrees, err := GraphDegrees(spec(1)); err != nil || &degrees[0] == &first[1][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(1)); err != nil || &degrees[0] == &first[1][0] {
 		t.Errorf("LRU spec not evicted: cache returned the original slice (err %v)", err)
 	}
 }
@@ -537,7 +538,7 @@ func TestGraphCacheEvictsLRU(t *testing.T) {
 func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
-	degrees, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 2000, Seed: 5})
+	degrees, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +547,7 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 			m.Time(n)
 		}
 	}
-	m1, err := GraphInferenceModel("one", degrees, 14, 1e9, 3, 9)
+	m1, err := GraphInferenceModelCtx(context.Background(), "one", degrees, 14, 1e9, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +555,7 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 	if st := SnapshotCaches().Estimates; st.Misses != 8 {
 		t.Fatalf("first model: %d misses, want 8 (one per worker count)", st.Misses)
 	}
-	m2, err := GraphInferenceModel("two", degrees, 14, 1e9, 3, 9)
+	m2, err := GraphInferenceModelCtx(context.Background(), "two", degrees, 14, 1e9, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +568,7 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 		t.Errorf("second identical model hit the cache %d times, want ≥ 8", st.Hits)
 	}
 	// A different seed is a different kernel.
-	m3, err := GraphInferenceModel("three", degrees, 14, 1e9, 3, 10)
+	m3, err := GraphInferenceModelCtx(context.Background(), "three", degrees, 14, 1e9, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +588,7 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 // estimator rejects must surface as an error (a panic the suite evaluators
 // convert), never as a silent +Inf-time point.
 func TestGraphInferenceModelPropagatesEstimatorErrors(t *testing.T) {
-	model, err := GraphInferenceModel("guard", []int32{1, 2, 3, 2}, 14, 1e9, 1, 0)
+	model, err := GraphInferenceModelCtx(context.Background(), "guard", []int32{1, 2, 3, 2}, 14, 1e9, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +664,7 @@ func TestEstimateCacheConcurrentEvictionHammer(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				seed := int64(g*seeds + s)
 				workers := 1 + s%4
-				model, err := GraphInferenceModel("hammer", degrees, 2, 1e9, 1, seed)
+				model, err := GraphInferenceModelCtx(context.Background(), "hammer", degrees, 2, 1e9, 1, seed)
 				if err != nil {
 					t.Error(err)
 					return
@@ -754,7 +755,7 @@ func TestIterationModels(t *testing.T) {
 	}
 	// Strong scaling: the iteration time is the per-iteration model's own
 	// time and the batch never grows.
-	m, err := BuildModel("gd-strong", "strong", spec, node, protocol)
+	m, err := BuildModelCtx(context.Background(), "gd-strong", "strong", spec, node, protocol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // The hint is a pure performance annotation: estimates are bit-identical
 // with or without it (common random numbers make every estimate a function
 // of its own coordinates only), so a caller that never sets it — direct
-// GraphInferenceModel users, tests — just computes kernels one at a time.
+// GraphInferenceModelCtx users, tests — just computes kernels one at a time.
 
 // kernelWorkersCtxKey is the context key for the hint.
 type kernelWorkersCtxKey struct{}

@@ -1,12 +1,11 @@
 // Package resilience is the fault-recovery layer of the evaluation spine:
-// a typed error classification (transient / permanent / cancelled) and a
-// retry policy with capped exponential backoff, deterministic seeded
-// jitter, per-attempt deadlines and a shared retry budget. The per-cell
-// evaluate path (internal/core) and the Monte-Carlo kernel compute
-// (internal/registry) both consult the process-wide default policy, so a
-// transient kernel fault is retried where it happened instead of failing a
-// whole grid — and a storm of failing cells cannot amplify load past the
-// budget.
+// a transient-error marker and the retry policy of the Monte-Carlo kernel
+// fill (internal/registry), the one place transient errors arise. The
+// policy retries with capped exponential backoff and deterministic jitter,
+// inside the fill's single flight, so every caller waiting on the same
+// estimate shares one set of retries, for sweeps and plans alike, and a
+// shared process budget keeps a storm of failing kernels from amplifying
+// load.
 package resilience
 
 import (
@@ -18,9 +17,8 @@ import (
 // sentinel, not a wrapper: MarkTransient attaches it to a cause, and
 // errors.Is(err, resilience.Transient) — or IsTransient — detects it
 // anywhere in a wrapped chain. Fault injection (registry.KernelFault
-// {Transient: true}) and attempt-deadline expiries produce transient
-// errors; everything else in this module is deterministic, so unmarked
-// errors default to permanent.
+// {Transient: true}) produces transient errors; everything else in this
+// module is deterministic, so unmarked errors default to permanent.
 var Transient = errors.New("resilience: transient fault")
 
 // transientError marks its cause as transient while preserving the chain.
@@ -43,39 +41,13 @@ func MarkTransient(err error) error {
 	return &transientError{err: err}
 }
 
-// Class is the retry-relevant kind of a failure.
-type Class int
-
-const (
-	// ClassPermanent: deterministic failures (bad input, broken model).
-	// Retrying cannot help; the default for unmarked errors.
-	ClassPermanent Class = iota
-	// ClassTransient: marked recoverable; retrying may succeed.
-	ClassTransient
-	// ClassCancelled: the caller's context fired; retrying is wrong
-	// regardless of markers — cancellation dominates transience.
-	ClassCancelled
-)
-
-// Classify types an error for the retry decision. Cancellation dominates:
-// a transient-marked error that wraps the caller's context error is still
-// ClassCancelled, so an abandoned run never spins in a backoff loop.
-func Classify(err error) Class {
-	switch {
-	case err == nil:
-		return ClassPermanent
-	case IsCancelled(err):
-		return ClassCancelled
-	case errors.Is(err, Transient):
-		return ClassTransient
-	default:
-		return ClassPermanent
-	}
-}
-
 // IsTransient reports whether err should be retried: marked transient and
-// not a cancellation.
-func IsTransient(err error) bool { return Classify(err) == ClassTransient }
+// not a cancellation. Cancellation dominates: a transient-marked error
+// that wraps the caller's context error is not transient, so an abandoned
+// run never spins in a backoff loop.
+func IsTransient(err error) bool {
+	return errors.Is(err, Transient) && !IsCancelled(err)
+}
 
 // IsCancelled reports whether err wraps a context cancellation or deadline
 // expiry.

@@ -10,12 +10,13 @@ import (
 )
 
 // Budget is a shared retry allowance: a token pool drawn down by every
-// retry and replenished by successes, so a grid where many cells fail at
-// once degrades to first-attempt-only instead of multiplying its own load
-// (the classic retry-storm amplification). Tokens are stored in tenths: a
-// retry costs 10 tenths, a success credits 1, so sustained retry traffic
-// is capped near 10% of successful traffic once the initial pool drains.
-// The zero value is unusable; NewBudget returns a full pool.
+// retry and replenished by successful kernel computes, so a grid where
+// many kernels fail at once degrades to first-attempt-only instead of
+// multiplying its own load (the classic retry-storm amplification). Tokens
+// are stored in tenths: a retry costs 10 tenths, a success credits 1, so
+// sustained retry traffic is capped near 10% of successful traffic once
+// the initial pool drains. The zero value is unusable; NewBudget returns a
+// full pool.
 type Budget struct {
 	tenths atomic.Int64
 	max    int64
@@ -63,212 +64,89 @@ func (b *Budget) Credit() {
 // Remaining reports how many whole retries the budget currently grants.
 func (b *Budget) Remaining() int { return int(b.tenths.Load() / 10) }
 
-// Policy is a retry policy: capped exponential backoff with deterministic
-// seeded jitter, an optional per-attempt deadline, and an optional shared
-// Budget. The zero value retries nothing; DefaultPolicy is the process
-// default the spine installs.
+// The backoff schedule every retry follows: baseDelay before the first
+// retry, doubling per further retry up to maxDelay, each delay spread
+// uniformly over [1-jitter, 1+jitter)× itself.
+const (
+	baseDelay = 2 * time.Millisecond
+	maxDelay  = 250 * time.Millisecond
+	jitter    = 0.5
+)
+
+// budget is the process-wide retry budget every retry draws on: 256
+// immediate retries, refilled by successful kernel computes.
+var budget = NewBudget(256)
+
+// Policy is the retry policy: capped exponential backoff with deterministic
+// jitter on the shared process budget. The zero value retries nothing.
 type Policy struct {
 	// MaxAttempts is the total attempt cap including the first; values
 	// below 2 disable retry.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further retry
-	// multiplies it by Multiplier (default 2), capped at MaxDelay.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Multiplier scales the delay between attempts; values ≤ 1 mean 2.
-	Multiplier float64
-	// Jitter spreads each delay uniformly over [1-Jitter, 1+Jitter)×delay.
-	// The spread is deterministic — SplitMix64 of (Seed, key, attempt) —
-	// so runs are reproducible while concurrent retries still decorrelate.
-	// Negative means no jitter; 0 means the 0.5 default.
-	Jitter float64
-	// Seed feeds the jitter stream.
-	Seed uint64
-	// AttemptTimeout, when positive, deadlines each attempt: an attempt
-	// that outlives it is abandoned and classified transient (the caller's
-	// own context staying live), so one hung kernel cannot pin a retry
-	// slot forever.
-	AttemptTimeout time.Duration
-	// Budget, when non-nil, gates every retry across all users of the
-	// policy. The process default shares one budget between the cell and
-	// kernel retry layers.
-	Budget *Budget
 }
 
-// normalized fills the defaulted fields.
-func (p Policy) normalized() Policy {
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
+// backoff returns the delay before retry number attempt+1 (attempt is
+// 0-based). The jitter is deterministic — SplitMix64 of (key, attempt) —
+// so runs are reproducible while concurrent retries still decorrelate.
+func backoff(key uint64, attempt int) time.Duration {
+	d := float64(baseDelay)
+	for i := 0; i < attempt && d < float64(maxDelay); i++ {
+		d *= 2
 	}
-	switch {
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter == 0:
-		p.Jitter = 0.5
-	case p.Jitter > 1:
-		p.Jitter = 1
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = p.BaseDelay
-	}
-	return p
+	d = min(d, float64(maxDelay))
+	// Uniform in [1-jitter, 1+jitter) from the top 53 bits.
+	u := float64(memo.Mix(0, key, uint64(attempt))>>11) / (1 << 53)
+	return time.Duration(d * (1 - jitter + 2*jitter*u))
 }
 
-// Delay returns the backoff before retry number attempt+1 (attempt is
-// 0-based): BaseDelay·Multiplier^attempt capped at MaxDelay, jittered
-// deterministically from (Seed, key, attempt).
-func (p Policy) Delay(key uint64, attempt int) time.Duration {
-	p = p.normalized()
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := float64(p.BaseDelay)
-	for i := 0; i < attempt && d < float64(p.MaxDelay); i++ {
-		d *= p.Multiplier
-	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		r := memo.Mix(p.Seed, key, uint64(attempt))
-		// Uniform in [1-Jitter, 1+Jitter) from the top 53 bits.
-		u := float64(r>>11) / (1 << 53)
-		d *= 1 - p.Jitter + 2*p.Jitter*u
-	}
-	return time.Duration(d)
-}
-
-// ShouldRetry decides — and commits to — one more attempt after err:
-// true only when err is transient, ctx is still live, the attempt cap is
-// not reached (attempt is 0-based: the number of retries already taken)
-// and the budget grants a token. A true return has consumed the token and
-// counted the retry; the caller must actually retry.
-func (p Policy) ShouldRetry(ctx context.Context, err error, attempt int) bool {
-	if err == nil || !IsTransient(err) || ctx.Err() != nil {
-		return false
-	}
-	if attempt+1 >= p.MaxAttempts {
-		return false
-	}
-	if p.Budget != nil && !p.Budget.TryTake() {
-		return false
-	}
-	retriesTotal.Add(1)
-	return true
-}
-
-// OnSuccess credits the budget after a successful operation (first-try or
-// retried), feeding the refill side of the retry-budget ratio.
-func (p Policy) OnSuccess() {
-	if p.Budget != nil {
-		p.Budget.Credit()
-	}
-}
-
-// Do runs op under the policy: each attempt gets its own context (deadlined
-// by AttemptTimeout when set) and its 0-based attempt number; transient
-// failures back off and retry until the policy, the budget or the caller's
-// context says stop. The returned error is the last attempt's, except that
-// a caller-side cancellation during backoff returns the context's error.
-func (p Policy) Do(ctx context.Context, key uint64, op func(ctx context.Context, attempt int) error) error {
-	p = p.normalized()
+// Do runs op under the policy: a transient failure backs off and retries
+// while the caller's context is live, the attempt cap is not reached and
+// the budget grants a token; each granted retry counts in TotalRetries,
+// and each success credits the budget. key decorrelates the jitter of
+// concurrent retries. The returned error is the last attempt's, except
+// that a caller-side cancellation during backoff returns the context's
+// error.
+func (p Policy) Do(ctx context.Context, key uint64, op func() error) error {
 	for attempt := 0; ; attempt++ {
-		actx, cancel := ctx, context.CancelFunc(nil)
-		if p.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		}
-		err := op(actx, attempt)
-		if cancel != nil {
-			cancel()
-		}
+		err := op()
 		if err == nil {
-			p.OnSuccess()
+			budget.Credit()
 			return nil
 		}
-		if p.AttemptTimeout > 0 && IsCancelled(err) && ctx.Err() == nil {
-			// The attempt's own deadline fired, not the caller's: that is a
-			// hung computation, the canonical transient fault. The chain is
-			// deliberately cut so the context error cannot reclassify it as
-			// a cancellation upstream.
-			err = MarkTransient(fmt.Errorf("resilience: attempt %d timed out after %v", attempt, p.AttemptTimeout))
-		}
-		if !p.ShouldRetry(ctx, err, attempt) {
+		if !IsTransient(err) || ctx.Err() != nil || attempt+1 >= p.MaxAttempts || !budget.TryTake() {
 			return err
 		}
-		if !Sleep(ctx, p.Delay(key, attempt)) {
+		retriesTotal.Add(1)
+		t := time.NewTimer(backoff(key, attempt))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 			return fmt.Errorf("resilience: retry abandoned: %w", ctx.Err())
 		}
 	}
 }
 
-// Sleep blocks for d or until ctx is done, reporting whether the full
-// delay elapsed. Zero and negative delays return true immediately.
-func Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Key fingerprints a string (FNV-1a) for use as a jitter key, so each
-// cell's backoff schedule is stable across runs but distinct from its
-// neighbors'.
-func Key(s string) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime
-	}
-	return h
-}
-
-// retriesTotal counts every retry granted process-wide, whichever layer
-// (cell or kernel) took it. EvalStats.Retried is its delta across a pass;
-// dmls_retries_total exposes it to scrapes.
+// retriesTotal counts every retry granted process-wide. EvalStats.Retried
+// is its delta across a pass; dmls_retries_total exposes it to scrapes.
 var retriesTotal atomic.Int64
 
 // TotalRetries returns the cumulative process-wide retry count.
 func TotalRetries() int64 { return retriesTotal.Load() }
 
-// defaultBudget is the process-wide retry budget the default policy
-// shares between the cell and kernel retry layers.
-var defaultBudget = NewBudget(256)
-
-// DefaultPolicy is the policy installed at init: up to 2 retries per
-// operation, milliseconds-scale capped backoff, the shared process budget,
-// no per-attempt deadline. Only transient-marked errors retry, so the
-// deterministic failure modes (bad suites, broken models) are untouched.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts: 3,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    250 * time.Millisecond,
-		Budget:      defaultBudget,
-	}
-}
-
-// currentPolicy holds the installed process-wide policy.
+// currentPolicy holds the installed process-wide policy. The default
+// allows up to 2 retries per kernel computation; only transient-marked
+// errors retry, so the deterministic failure modes (bad suites, broken
+// models) are untouched.
 var currentPolicy atomic.Pointer[Policy]
 
-func init() {
-	p := DefaultPolicy()
-	currentPolicy.Store(&p)
-}
+func init() { SetDefault(Policy{MaxAttempts: 3}) }
 
-// Default returns the process-wide retry policy the evaluation spine
-// consults (cell retries in core, kernel retries in registry).
+// Default returns the process-wide retry policy the kernel fill
+// (internal/registry) consults.
 func Default() Policy { return *currentPolicy.Load() }
 
 // SetDefault installs the process-wide retry policy. The CLIs wire their
-// -retries/-retry-budget flags through here; tests pair every install
-// with a deferred restore.
-func SetDefault(p Policy) {
-	currentPolicy.Store(&p)
-}
+// -retries flag through here; tests pair every install with a deferred
+// restore.
+func SetDefault(p Policy) { currentPolicy.Store(&p) }

@@ -6,31 +6,35 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
+// TestClassify: only transient-marked errors retry, anywhere in a wrapped
+// chain, and cancellation dominates the marker.
 func TestClassify(t *testing.T) {
 	base := errors.New("boom")
 	cases := []struct {
-		name string
-		err  error
-		want Class
+		name                 string
+		err                  error
+		transient, cancelled bool
 	}{
-		{"nil", nil, ClassPermanent},
-		{"plain", base, ClassPermanent},
-		{"wrapped plain", fmt.Errorf("outer: %w", base), ClassPermanent},
-		{"transient", MarkTransient(base), ClassTransient},
-		{"wrapped transient", fmt.Errorf("outer: %w", MarkTransient(base)), ClassTransient},
-		{"double marked", MarkTransient(MarkTransient(base)), ClassTransient},
-		{"cancelled", context.Canceled, ClassCancelled},
-		{"deadline", fmt.Errorf("outer: %w", context.DeadlineExceeded), ClassCancelled},
+		{"nil", nil, false, false},
+		{"plain", base, false, false},
+		{"wrapped plain", fmt.Errorf("outer: %w", base), false, false},
+		{"transient", MarkTransient(base), true, false},
+		{"wrapped transient", fmt.Errorf("outer: %w", MarkTransient(base)), true, false},
+		{"double marked", MarkTransient(MarkTransient(base)), true, false},
+		{"cancelled", context.Canceled, false, true},
+		{"deadline", fmt.Errorf("outer: %w", context.DeadlineExceeded), false, true},
 		// Cancellation dominates: a transient marker around a context error
 		// must not cause retries of an abandoned run.
-		{"transient cancel", MarkTransient(fmt.Errorf("k: %w", context.Canceled)), ClassCancelled},
+		{"transient cancel", MarkTransient(fmt.Errorf("k: %w", context.Canceled)), false, true},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("%s: Classify = %v, want %v", tc.name, got, tc.want)
+		if got := IsTransient(tc.err); got != tc.transient {
+			t.Errorf("%s: IsTransient = %v, want %v", tc.name, got, tc.transient)
+		}
+		if got := IsCancelled(tc.err); got != tc.cancelled {
+			t.Errorf("%s: IsCancelled = %v, want %v", tc.name, got, tc.cancelled)
 		}
 	}
 	if !errors.Is(MarkTransient(base), Transient) {
@@ -50,11 +54,8 @@ func TestClassify(t *testing.T) {
 
 func TestPolicyDoRetriesTransient(t *testing.T) {
 	calls := 0
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
-	err := p.Do(context.Background(), 1, func(ctx context.Context, attempt int) error {
-		if attempt != calls {
-			t.Errorf("attempt = %d, want %d", attempt, calls)
-		}
+	p := Policy{MaxAttempts: 3}
+	err := p.Do(context.Background(), 1, func() error {
 		calls++
 		if calls < 3 {
 			return MarkTransient(errors.New("flaky"))
@@ -71,9 +72,9 @@ func TestPolicyDoRetriesTransient(t *testing.T) {
 
 func TestPolicyDoPermanentFailsFast(t *testing.T) {
 	calls := 0
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
+	p := Policy{MaxAttempts: 5}
 	boom := errors.New("deterministic")
-	err := p.Do(context.Background(), 1, func(ctx context.Context, attempt int) error {
+	err := p.Do(context.Background(), 1, func() error {
 		calls++
 		return boom
 	})
@@ -87,8 +88,8 @@ func TestPolicyDoPermanentFailsFast(t *testing.T) {
 
 func TestPolicyDoExhaustsAttempts(t *testing.T) {
 	calls := 0
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
-	err := p.Do(context.Background(), 1, func(ctx context.Context, attempt int) error {
+	p := Policy{MaxAttempts: 3}
+	err := p.Do(context.Background(), 1, func() error {
 		calls++
 		return MarkTransient(errors.New("always"))
 	})
@@ -103,8 +104,8 @@ func TestPolicyDoExhaustsAttempts(t *testing.T) {
 func TestPolicyDoCancelledStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	p := Policy{MaxAttempts: 10, BaseDelay: time.Millisecond}
-	err := p.Do(ctx, 1, func(ctx context.Context, attempt int) error {
+	p := Policy{MaxAttempts: 10}
+	err := p.Do(ctx, 1, func() error {
 		calls++
 		cancel()
 		return MarkTransient(errors.New("flaky"))
@@ -117,38 +118,21 @@ func TestPolicyDoCancelledStops(t *testing.T) {
 	}
 }
 
-func TestPolicyDoAttemptTimeout(t *testing.T) {
-	calls := 0
-	p := Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, AttemptTimeout: 5 * time.Millisecond}
-	err := p.Do(context.Background(), 1, func(ctx context.Context, attempt int) error {
-		calls++
-		if attempt == 0 {
-			<-ctx.Done() // hang until the attempt deadline fires
-			return ctx.Err()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (attempt timeout must classify transient)", calls)
-	}
-}
-
 func TestDelayDeterministicAndCapped(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Seed: 7}
-	for attempt := 0; attempt < 6; attempt++ {
-		a := p.Delay(99, attempt)
-		b := p.Delay(99, attempt)
+	for attempt := 0; attempt < 10; attempt++ {
+		a := backoff(99, attempt)
+		b := backoff(99, attempt)
 		if a != b {
 			t.Fatalf("attempt %d: jitter not deterministic: %v vs %v", attempt, a, b)
 		}
-		if a < 0 || a > 60*time.Millisecond { // 40ms cap × 1.5 max jitter
+		if a < 0 || a > maxDelay*3/2 { // cap × 1.5 max jitter
 			t.Fatalf("attempt %d: delay %v outside jittered cap", attempt, a)
 		}
 	}
-	if p.Delay(1, 0) == p.Delay(2, 0) {
+	if d := backoff(99, 0); d < baseDelay/2 || d >= baseDelay*3/2 {
+		t.Errorf("first delay %v outside the jittered base delay", d)
+	}
+	if backoff(1, 0) == backoff(2, 0) {
 		t.Error("distinct keys produced identical jitter (possible, but suspicious)")
 	}
 }
@@ -200,16 +184,23 @@ func TestBudgetConcurrent(t *testing.T) {
 	}
 }
 
+// TestShouldRetryConsumesBudget: every retry Do takes spends a budget
+// token and counts in TotalRetries, and a drained budget stops retrying
+// below the attempt cap.
 func TestShouldRetryConsumesBudget(t *testing.T) {
-	b := NewBudget(1)
-	p := Policy{MaxAttempts: 10, Budget: b}
-	flaky := MarkTransient(errors.New("flaky"))
+	defer func(b *Budget) { budget = b }(budget)
+	budget = NewBudget(1)
+	calls := 0
 	before := TotalRetries()
-	if !p.ShouldRetry(context.Background(), flaky, 0) {
-		t.Fatal("first retry denied with a full budget")
+	err := Policy{MaxAttempts: 10}.Do(context.Background(), 1, func() error {
+		calls++
+		return MarkTransient(errors.New("flaky"))
+	})
+	if !IsTransient(err) {
+		t.Fatalf("Do = %v, want transient", err)
 	}
-	if p.ShouldRetry(context.Background(), flaky, 1) {
-		t.Fatal("retry granted past the budget")
+	if calls != 2 {
+		t.Fatalf("calls = %d, want 2 (one retry from a one-retry budget)", calls)
 	}
 	if TotalRetries()-before != 1 {
 		t.Fatalf("TotalRetries delta = %d, want 1", TotalRetries()-before)
@@ -219,9 +210,9 @@ func TestShouldRetryConsumesBudget(t *testing.T) {
 func TestSetDefaultRoundTrips(t *testing.T) {
 	orig := Default()
 	defer SetDefault(orig)
-	p := Policy{MaxAttempts: 7, BaseDelay: time.Second}
+	p := Policy{MaxAttempts: 7}
 	SetDefault(p)
-	if got := Default(); got.MaxAttempts != 7 || got.BaseDelay != time.Second {
+	if got := Default(); got.MaxAttempts != 7 {
 		t.Fatalf("Default = %+v after SetDefault(%+v)", got, p)
 	}
 }

@@ -98,7 +98,7 @@ func TestKillMidBatchedSweepResume(t *testing.T) {
 	type fingerprint struct{ fnv, mix uint64 }
 	content := make(map[fingerprint]bool)
 	for i := 0; i < cells; i++ {
-		degrees, err := registry.GraphDegrees(registry.GraphSpec{Family: "dns", Vertices: 1200, Seed: int64(9000 + i)})
+		degrees, err := registry.GraphDegreesCtx(context.Background(), registry.GraphSpec{Family: "dns", Vertices: 1200, Seed: int64(9000 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}

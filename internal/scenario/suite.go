@@ -179,12 +179,11 @@ type EvalStats struct {
 	// RefineTime is the wall time of the adaptive planner's frontier
 	// refinement rounds. 0 outside adaptive plans.
 	RefineTime time.Duration
-	// Retried counts the retries the resilience layer took during the pass
-	// — cell-level re-evaluations and kernel-level re-attempts together,
-	// measured as the process-wide retry counter's delta across the pass
-	// (approximate under concurrent passes, like KernelComputeTime). 0 on
-	// a never-faulted run, so operators can tell recovered-from-fault
-	// apart from never-faulted.
+	// Retried counts the kernel-computation retries the resilience layer
+	// took during the pass, measured as the process-wide retry counter's
+	// delta across the pass (approximate under concurrent passes, like
+	// KernelComputeTime). 0 on a never-faulted run, so operators can tell
+	// recovered-from-fault apart from never-faulted.
 	Retried int
 	// ResumedCells counts cells replayed from a checkpoint journal instead
 	// of evaluated — the work a resumed run did not repeat. Always 0

@@ -301,3 +301,43 @@ func TestBreakerIgnoresClientInputErrors(t *testing.T) {
 		t.Fatalf("valid plan after bad input: status %d, want full fidelity: %s", status, body)
 	}
 }
+
+// TestChaosRetryBoundSameForBothRoutes: with every kernel attempt failing
+// transiently, -retries bounds the attempts of each kernel computation the
+// same way on both routes — the default policy's 3 attempts per coordinate
+// and 2 retries per request — because the kernel fill is the only retry
+// layer, for sweeps and plans alike.
+func TestChaosRetryBoundSameForBothRoutes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	defer registry.SetKernelFault(nil)
+	for _, route := range []string{"sweep", "plan"} {
+		var mu sync.Mutex
+		attempts := map[registry.KernelCall]int{}
+		registry.SetKernelFault(func(c registry.KernelCall) registry.KernelFault {
+			mu.Lock()
+			n := c.Attempt + 1
+			c.Attempt = 0
+			attempts[c] = max(attempts[c], n)
+			mu.Unlock()
+			return registry.KernelFault{Err: errors.New("chaos: always transient"), Transient: true}
+		})
+		before := s.retries.Value()
+		if status, body, _ := post(t, ts, "/v1/"+route, `{"suite": `+graphSuite(freshSeed())+`}`); status != 200 {
+			t.Fatalf("%s: status %d: %s", route, status, body)
+		}
+		mu.Lock()
+		coordinates := len(attempts)
+		for c, n := range attempts {
+			if n != 3 {
+				t.Errorf("%s: %d attempts at workers=%d, want 3", route, n, c.Workers)
+			}
+		}
+		mu.Unlock()
+		if coordinates == 0 {
+			t.Fatalf("%s: no kernel attempt reached the fault hook", route)
+		}
+		if got := s.retries.Value() - before; got != 2 {
+			t.Errorf("%s: retries_total delta = %d, want 2", route, got)
+		}
+	}
+}

@@ -189,7 +189,7 @@ func (s *Server) registerMetrics() {
 	s.deadlineExpired = s.set.NewCounter("dmls_deadline_expired_total", "Evaluations that hit their per-request deadline (504).")
 	s.clientGone = s.set.NewCounter("dmls_client_gone_total", "Evaluations cancelled by client disconnect or drain hard-stop.")
 	s.panics = s.set.NewCounter("dmls_panics_total", "Requests that panicked and were contained as 500s.")
-	s.retries = s.set.NewCounter("dmls_retries_total", "Transient-fault retries performed on behalf of served requests (cell and kernel layer).")
+	s.retries = s.set.NewCounter("dmls_retries_total", "Transient-fault retries of kernel computations performed on behalf of served requests.")
 	s.degradedPlans = s.set.NewCounter("dmls_degraded_plans_total", "Plan requests answered in degraded kernel-free bound mode while the breaker was open.")
 	s.degradedShed = s.set.NewCounter("dmls_degraded_shed_total", "Sweep requests shed 503 because the kernel circuit breaker was open.")
 

@@ -24,6 +24,12 @@
 # the service heals: kernel-free probes close both breakers, /healthz says
 # "ok" again, and the dmls_breaker_state gauges read 0 (closed).
 #
+# Phase 3 is the absorb drill: a third server instance starts with
+# -chaos-kernel-errors 2, inside the default 3 kernel attempts, and the
+# script asserts that retries absorb every fault — kernel-backed sweeps
+# and plans answer 200 with no error cell, both breakers stay closed, and
+# dmls_retries_total is positive.
+#
 # The p50/p99/shed-rate summary prints on stdout and, when OUT is set, is
 # also written there (never over an existing file). This is a robustness
 # smoke, not a benchmark: for performance, run bash bench/run.sh.
@@ -59,6 +65,35 @@ expect() {
     fi
 }
 
+# await_healthy <pid> <base url> <server log>: poll /healthz until the
+# server answers, failing fast if it dies on startup.
+await_healthy() {
+    for _ in $(seq 1 100); do
+        if curl -fsS -o /dev/null "$2/healthz" 2>/dev/null; then return; fi
+        if ! kill -0 "$1" 2>/dev/null; then
+            echo "loadtest.sh: dmls-serve at $2 died on startup:" >&2
+            cat "$3" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    echo "loadtest.sh: dmls-serve at $2 never became healthy" >&2
+    exit 1
+}
+
+# drain <pid> <server log>: SIGTERM, then the server must exit 0 inside
+# its drain window.
+drain() {
+    kill -TERM "$1"
+    rc=0
+    wait "$1" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "loadtest.sh: dmls-serve did not drain cleanly (exit $rc):" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+}
+
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
@@ -72,16 +107,7 @@ server_pid=$!
 trap 'kill "$server_pid" 2>/dev/null || true; wait "$server_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 base="http://127.0.0.1:$PORT"
-for _ in $(seq 1 100); do
-    if curl -fsS -o /dev/null "$base/healthz" 2>/dev/null; then break; fi
-    if ! kill -0 "$server_pid" 2>/dev/null; then
-        echo "loadtest.sh: dmls-serve died on startup:" >&2
-        cat "$workdir/serve.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-curl -fsS -o /dev/null "$base/healthz" || { echo "loadtest.sh: server never became healthy" >&2; exit 1; }
+await_healthy "$server_pid" "$base" "$workdir/serve.log"
 
 "$workdir/loadtest" -base "$base" -suites examples/suites \
     -requests "$REQUESTS" -concurrency "$CONCURRENCY" \
@@ -118,14 +144,7 @@ requests=$(awk '$1 == "dmls_requests_total" { print $2 }' "$workdir/metrics.prom
 echo "loadtest.sh: metrics smoke ok (duration observations: $dur_count, requests_total: $requests)" >&2
 
 # Clean drain: SIGTERM, then the server must exit 0 inside the drain window.
-kill -TERM "$server_pid"
-drain_rc=0
-wait "$server_pid" || drain_rc=$?
-if [ "$drain_rc" -ne 0 ]; then
-    echo "loadtest.sh: dmls-serve did not drain cleanly (exit $drain_rc):" >&2
-    cat "$workdir/serve.log" >&2
-    exit 1
-fi
+drain "$server_pid" "$workdir/serve.log"
 if ! grep -q "drained" "$workdir/serve.log"; then
     echo "loadtest.sh: no drain notice in the server log:" >&2
     cat "$workdir/serve.log" >&2
@@ -137,7 +156,7 @@ trap 'rm -rf "$workdir"' EXIT
 # Phase 2: circuit-breaker trip-and-recover drill.
 #
 # A fresh server instance where every kernel computation fails with a
-# transient fault (-chaos-kernel-errors 999 outlasts every retry layer), a
+# transient fault (-chaos-kernel-errors 999 outlasts the kernel retries), a
 # small breaker window so two failed requests per route trip it, and an
 # open period long enough to assert the degraded contract before the
 # half-open probe is admitted.
@@ -202,16 +221,7 @@ jq -c '{suite: .}' examples/suites/fig2-bandwidth-sweep.json >"$workdir/sweep-re
 server2_pid=$!
 trap 'kill "$server2_pid" 2>/dev/null || true; wait "$server2_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-for _ in $(seq 1 100); do
-    if curl -fsS -o /dev/null "$base2/healthz" 2>/dev/null; then break; fi
-    if ! kill -0 "$server2_pid" 2>/dev/null; then
-        echo "loadtest.sh: chaos dmls-serve died on startup:" >&2
-        cat "$workdir/serve2.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-curl -fsS -o /dev/null "$base2/healthz" || { echo "loadtest.sh: chaos server never became healthy" >&2; exit 1; }
+await_healthy "$server2_pid" "$base2" "$workdir/serve2.log"
 
 # Trip both breakers: two kernel-backed requests per route, every kernel
 # attempt failing. Plans and sweeps fail in-body (200 + error cells), and
@@ -296,14 +306,50 @@ expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="plan"}' '== 0'
 expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="sweep"}' '== 0'
 echo "loadtest.sh: breakers recovered — healthz ok, both breaker gauges closed" >&2
 
-kill -TERM "$server2_pid"
-drain2_rc=0
-wait "$server2_pid" || drain2_rc=$?
-if [ "$drain2_rc" -ne 0 ]; then
-    echo "loadtest.sh: chaos dmls-serve did not drain cleanly (exit $drain2_rc):" >&2
-    cat "$workdir/serve2.log" >&2
-    exit 1
-fi
+drain "$server2_pid" "$workdir/serve2.log"
+trap 'rm -rf "$workdir"' EXIT
+
+# ---------------------------------------------------------------------------
+# Phase 3: retry absorb drill.
+#
+# A fresh server instance where every kernel computation fails its first
+# two attempts with a transient fault, then succeeds: the default policy's
+# three attempts per kernel computation absorb that on both routes. The
+# plan request uses another graph seed, so it computes its own kernel
+# instead of reading the sweep's cached estimates.
+PORT3=$((PORT + 2))
+base3="http://127.0.0.1:$PORT3"
+jq -c '.suite.scenarios[0].workload.graph.seed = 8' "$workdir/chaos-req.json" >"$workdir/chaos-req-plan.json"
+
+"$workdir/dmls-serve" -addr "127.0.0.1:$PORT3" -chaos-kernel-errors 2 2>"$workdir/serve3.log" &
+server3_pid=$!
+trap 'kill "$server3_pid" 2>/dev/null || true; wait "$server3_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
+
+await_healthy "$server3_pid" "$base3" "$workdir/serve3.log"
+
+for route in sweep plan; do
+    req="$workdir/chaos-req.json"
+    if [ "$route" = plan ]; then req="$workdir/chaos-req-plan.json"; fi
+    code=$(curl -s -o "$workdir/absorb-$route.json" -w '%{http_code}' -X POST -d @"$req" "$base3/v1/$route")
+    if [ "$code" != "200" ]; then
+        echo "loadtest.sh: absorb $route should answer 200, got $code:" >&2
+        cat "$workdir/absorb-$route.json" >&2
+        exit 1
+    fi
+    if grep -q '"error"' "$workdir/absorb-$route.json"; then
+        echo "loadtest.sh: absorb $route leaked a kernel fault past the retries:" >&2
+        cat "$workdir/absorb-$route.json" >&2
+        exit 1
+    fi
+done
+curl -fsS "$base3/metrics" >"$workdir/metrics3.prom"
+expect "$workdir/metrics3.prom" 'dmls_breaker_state{route="plan"}' '== 0'
+expect "$workdir/metrics3.prom" 'dmls_breaker_state{route="sweep"}' '== 0'
+expect "$workdir/metrics3.prom" dmls_retries_total '> 0'
+retries3=$(awk '$1 == "dmls_retries_total" { print $2 }' "$workdir/metrics3.prom")
+echo "loadtest.sh: retries absorbed the faults — sweep and plan 200 with no error cell, breakers closed, $retries3 retries" >&2
+
+drain "$server3_pid" "$workdir/serve3.log"
 trap 'rm -rf "$workdir"' EXIT
 
 summary=$(echo "$summary" | jq '. + {"clean_drain": true, "breaker_drill": "pass"}')
