@@ -40,7 +40,7 @@
 //
 // The subpackages under internal implement the full system: analytic models
 // (core, comm), the catalog (registry), the scenario/suite schema
-// (scenario), substrates (nn, nncost, gd, graph, partition, mrf, bp),
+// (scenario), substrates (nncost, gd, graph, partition, mrf, bp),
 // discrete-event experiment simulators (cluster, sparksim, gpusim, shmsim)
 // and the per-figure reproduction harness (experiments).
 package dmlscale

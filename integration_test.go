@@ -1,9 +1,8 @@
 package dmlscale_test
 
 // Integration tests exercising the substrates together: the cost counter
-// feeding the analytic model, real training validating the data-parallel
-// assumptions the model rests on, and the simulators validating the model
-// the way the paper's experiments do.
+// feeding the analytic model, and the simulators validating the model the
+// way the paper's experiments do.
 
 import (
 	"math"
@@ -12,13 +11,11 @@ import (
 	"dmlscale"
 	"dmlscale/internal/bp"
 	"dmlscale/internal/comm"
-	"dmlscale/internal/dataset"
 	"dmlscale/internal/gd"
 	"dmlscale/internal/graph"
 	"dmlscale/internal/hardware"
 	"dmlscale/internal/metrics"
 	"dmlscale/internal/mrf"
-	"dmlscale/internal/nn"
 	"dmlscale/internal/nncost"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/sparksim"
@@ -88,39 +85,6 @@ func TestModelAgainstSimulatedExperiment(t *testing.T) {
 	sPeak, _ := simCurve.Peak()
 	if mPeak.N > 9 || sPeak.N > 9 {
 		t.Errorf("peaks at model=%d sim=%d, want ≤ 9", mPeak.N, sPeak.N)
-	}
-}
-
-// TestScheduledTrainingEndToEnd: the ScheduledSGD optimizer drives Train
-// through the Stepper interface with a warmup linear-scaling schedule.
-func TestScheduledTrainingEndToEnd(t *testing.T) {
-	data, err := dataset.GaussianBlobs(120, 8, 3, 0.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := nn.NewMLP([]int{8, 16, 3}, func() nn.Layer { return &nn.Tanh{} },
-		nn.SoftmaxCrossEntropy{}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedule, err := gd.InverseScalingLR(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := gd.WithSchedule(&gd.SGD{LearningRate: 0.5}, schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := gd.Train(net, data, opt, gd.TrainOptions{Epochs: 30, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalLoss >= res.LossHistory[0] {
-		t.Errorf("scheduled training did not improve: %v -> %v",
-			res.LossHistory[0], res.FinalLoss)
-	}
-	if acc := net.Accuracy(data.X, data.Labels); acc < 0.85 {
-		t.Errorf("accuracy = %v", acc)
 	}
 }
 

@@ -1,25 +1,16 @@
 // Package asyncgd explores the paper's first future-work direction
-// (§VI): modeling asynchronous gradient descent. It provides
-//
-//   - an analytic model of asynchronous SGD throughput and staleness: with
-//     no barrier, workers pipeline communication behind computation, so
-//     per-update time is max(compute/n, comm-service time), while gradient
-//     staleness grows with the ratio of communication to computation — the
-//     price asynchrony pays in convergence;
-//   - a real lock-free Hogwild implementation (Recht et al. [24]) on shared
-//     parameters updated through atomic compare-and-swap, validated on
-//     least-squares problems.
+// (§VI): modeling asynchronous gradient descent. Its analytic model covers
+// asynchronous SGD throughput and staleness: with no barrier, workers
+// pipeline communication behind computation, so per-update time is
+// max(compute/n, comm-service time), while gradient staleness grows with
+// the ratio of communication to computation — the price asynchrony pays in
+// convergence.
 package asyncgd
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"dmlscale/internal/core"
-	"dmlscale/internal/dataset"
 	"dmlscale/internal/units"
 )
 
@@ -115,81 +106,4 @@ func (m Model) OptimalWorkers(maxN int) (int, float64, error) {
 		}
 	}
 	return bestN, bestS, nil
-}
-
-// HogwildResult reports a Hogwild run.
-type HogwildResult struct {
-	// FinalLoss is the mean squared error after all updates.
-	FinalLoss float64
-	// Updates is the total number of applied gradient updates.
-	Updates int64
-}
-
-// Hogwild runs lock-free asynchronous SGD on a least-squares problem:
-// workers goroutines sample examples and update the shared weight vector
-// through atomic compare-and-swap per coordinate, with no locks and no
-// barriers — the algorithm of Recht et al. The run is bounded by
-// updatesPerWorker updates on each worker.
-func Hogwild(d *dataset.Regression, workers, updatesPerWorker int, learningRate float64, seed int64) (HogwildResult, error) {
-	if workers < 1 || updatesPerWorker < 1 {
-		return HogwildResult{}, fmt.Errorf("asyncgd: need positive workers and updates")
-	}
-	if learningRate <= 0 {
-		return HogwildResult{}, fmt.Errorf("asyncgd: non-positive learning rate")
-	}
-	features := d.X.Cols()
-	// Shared parameters: weights then intercept, each a float64 stored in
-	// a uint64 for atomic access.
-	shared := make([]uint64, features+1)
-
-	load := func(i int) float64 { return math.Float64frombits(atomic.LoadUint64(&shared[i])) }
-	add := func(i int, delta float64) {
-		for {
-			old := atomic.LoadUint64(&shared[i])
-			v := math.Float64frombits(old) + delta
-			if atomic.CompareAndSwapUint64(&shared[i], old, math.Float64bits(v)) {
-				return
-			}
-		}
-	}
-
-	var updates atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)))
-			for u := 0; u < updatesPerWorker; u++ {
-				i := rng.Intn(d.Len())
-				row := d.X.Row(i)
-				// Prediction with possibly stale weights.
-				pred := load(features)
-				for j, x := range row {
-					pred += load(j) * x
-				}
-				residual := pred - d.Y.At(i, 0)
-				for j, x := range row {
-					add(j, -learningRate*residual*x)
-				}
-				add(features, -learningRate*residual)
-				updates.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Final loss under the converged weights.
-	var loss float64
-	for i := 0; i < d.Len(); i++ {
-		row := d.X.Row(i)
-		pred := load(features)
-		for j, x := range row {
-			pred += load(j) * x
-		}
-		r := pred - d.Y.At(i, 0)
-		loss += r * r
-	}
-	loss /= float64(d.Len())
-	return HogwildResult{FinalLoss: loss, Updates: updates.Load()}, nil
 }

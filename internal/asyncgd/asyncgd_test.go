@@ -3,8 +3,6 @@ package asyncgd
 import (
 	"math"
 	"testing"
-
-	"dmlscale/internal/dataset"
 )
 
 func testModel() Model {
@@ -105,53 +103,5 @@ func TestCoreModelConsistent(t *testing.T) {
 		if got := cm.Speedup(n); math.Abs(got-want) > 1e-9 {
 			t.Errorf("core speedup(%d) = %v, want %v", n, got, want)
 		}
-	}
-}
-
-func TestHogwildConvergesSingleWorker(t *testing.T) {
-	d, err := dataset.LinearRegression(400, 4, 0.01, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Hogwild(d, 1, 20000, 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalLoss > 0.01 {
-		t.Errorf("single-worker Hogwild loss = %v, want < 0.01", res.FinalLoss)
-	}
-	if res.Updates != 20000 {
-		t.Errorf("updates = %d, want 20000", res.Updates)
-	}
-}
-
-func TestHogwildConvergesParallel(t *testing.T) {
-	d, err := dataset.LinearRegression(400, 4, 0.01, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Hogwild(d, 8, 4000, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lock-free races notwithstanding, sparse-ish least squares converges.
-	if res.FinalLoss > 0.02 {
-		t.Errorf("8-worker Hogwild loss = %v, want < 0.02", res.FinalLoss)
-	}
-	if res.Updates != 8*4000 {
-		t.Errorf("updates = %d, want %d", res.Updates, 8*4000)
-	}
-}
-
-func TestHogwildErrors(t *testing.T) {
-	d, _ := dataset.LinearRegression(10, 2, 0, 1)
-	if _, err := Hogwild(d, 0, 10, 0.1, 1); err == nil {
-		t.Error("zero workers accepted")
-	}
-	if _, err := Hogwild(d, 1, 0, 0.1, 1); err == nil {
-		t.Error("zero updates accepted")
-	}
-	if _, err := Hogwild(d, 1, 10, 0, 1); err == nil {
-		t.Error("zero learning rate accepted")
 	}
 }

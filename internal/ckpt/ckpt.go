@@ -100,7 +100,6 @@ type line struct {
 type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
-	path      string
 	sinceSync int
 	closed    bool
 }
@@ -114,7 +113,7 @@ func Create(path string, h Header) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: create: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f}
 	if err := j.Append(KindHeader, h); err != nil {
 		f.Close()
 		return nil, err
@@ -159,7 +158,7 @@ func Open(path string) (*Journal, Header, []Entry, error) {
 	if err != nil {
 		return nil, Header{}, nil, fmt.Errorf("ckpt: open: %w", err)
 	}
-	return &Journal{f: f, path: path}, h, entries[1:], nil
+	return &Journal{f: f}, h, entries[1:], nil
 }
 
 // scan walks raw line by line, returning the validated entries and how
@@ -313,6 +312,3 @@ func (j *Journal) Close() error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }

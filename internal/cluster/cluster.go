@@ -53,47 +53,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// EventKind labels simulator events.
-type EventKind int
-
-// Event kinds.
-const (
-	EventCompute EventKind = iota
-	EventTransfer
-	EventBarrier
-	EventOverhead
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EventCompute:
-		return "compute"
-	case EventTransfer:
-		return "transfer"
-	case EventBarrier:
-		return "barrier"
-	default:
-		return "overhead"
-	}
-}
-
-// Event is one timed simulator step.
-type Event struct {
-	At       units.Seconds
-	Duration units.Seconds
-	Kind     EventKind
-	Detail   string
-}
-
-// maxEvents bounds the event log so long simulations stay lean.
-const maxEvents = 4096
-
-// Sim is a running simulation with a clock and an event log.
+// Sim is a running simulation with a clock.
 type Sim struct {
-	cfg    Config
-	clock  units.Seconds
-	rng    *rand.Rand
-	events []Event
+	cfg   Config
+	clock units.Seconds
+	rng   *rand.Rand
 }
 
 // New validates the configuration and returns a simulator at time zero.
@@ -106,22 +70,6 @@ func New(cfg Config) (*Sim, error) {
 
 // Clock returns the current simulated time.
 func (s *Sim) Clock() units.Seconds { return s.clock }
-
-// Events returns the recorded event log (capped at a few thousand entries).
-func (s *Sim) Events() []Event { return s.events }
-
-// Reset rewinds the clock and event log, keeping the seeded noise stream.
-func (s *Sim) Reset() {
-	s.clock = 0
-	s.events = s.events[:0]
-}
-
-func (s *Sim) record(kind EventKind, d units.Seconds, detail string) {
-	if len(s.events) < maxEvents {
-		s.events = append(s.events, Event{At: s.clock, Duration: d, Kind: kind, Detail: detail})
-	}
-	s.clock += d
-}
 
 // straggle returns the multiplicative slowdown of one task.
 func (s *Sim) straggle() float64 {
@@ -149,7 +97,7 @@ func (s *Sim) ComputePhase(flopsPerWorker []float64) (units.Seconds, error) {
 			phase = t
 		}
 	}
-	s.record(EventCompute, phase, fmt.Sprintf("%d tasks", len(flopsPerWorker)))
+	s.clock += phase
 	return phase, nil
 }
 
@@ -169,7 +117,7 @@ func (s *Sim) UniformComputePhase(flops float64, workers int) (units.Seconds, er
 // sequential rounds, each paying the bandwidth cost of the full payload plus
 // the per-message latency. Shared-memory networks cost nothing. It returns
 // the phase duration.
-func (s *Sim) TransferRounds(payload units.Bits, rounds int, detail string) (units.Seconds, error) {
+func (s *Sim) TransferRounds(payload units.Bits, rounds int) (units.Seconds, error) {
 	if rounds < 0 {
 		return 0, fmt.Errorf("cluster: negative transfer rounds")
 	}
@@ -177,12 +125,11 @@ func (s *Sim) TransferRounds(payload units.Bits, rounds int, detail string) (uni
 		return 0, fmt.Errorf("cluster: negative payload")
 	}
 	if s.cfg.Network.SharedMemory || rounds == 0 {
-		s.record(EventTransfer, 0, detail)
 		return 0, nil
 	}
 	per := units.TransferTime(payload, s.cfg.Network.Bandwidth) + s.cfg.Network.Latency
 	d := per * units.Seconds(rounds)
-	s.record(EventTransfer, d, detail)
+	s.clock += d
 	return d, nil
 }
 
@@ -197,7 +144,7 @@ func (s *Sim) TorrentBroadcast(payload units.Bits, n int) (units.Seconds, error)
 	if n > 1 {
 		rounds += int(math.Ceil(math.Log2(float64(n))))
 	}
-	return s.TransferRounds(payload, rounds, fmt.Sprintf("torrent broadcast to %d", n))
+	return s.TransferRounds(payload, rounds)
 }
 
 // SqrtWaveAggregate collects one payload from each of n workers in Spark's
@@ -208,7 +155,7 @@ func (s *Sim) SqrtWaveAggregate(payload units.Bits, n int) (units.Seconds, error
 		return 0, fmt.Errorf("cluster: aggregate from %d workers", n)
 	}
 	fanIn := int(math.Ceil(math.Sqrt(float64(n))))
-	return s.TransferRounds(payload, 2*fanIn, fmt.Sprintf("sqrt-wave aggregate from %d", n))
+	return s.TransferRounds(payload, 2*fanIn)
 }
 
 // TreeAllReduce reduces and redistributes the payload across n workers in
@@ -221,21 +168,15 @@ func (s *Sim) TreeAllReduce(payload units.Bits, n int) (units.Seconds, error) {
 	if n > 1 {
 		rounds = int(math.Ceil(math.Log2(float64(n))))
 	}
-	return s.TransferRounds(payload, rounds, fmt.Sprintf("tree all-reduce over %d", n))
+	return s.TransferRounds(payload, rounds)
 }
 
 // Overhead advances the clock by a fixed framework cost (driver bookkeeping,
 // job scheduling).
-func (s *Sim) Overhead(d units.Seconds, detail string) error {
+func (s *Sim) Overhead(d units.Seconds) error {
 	if d < 0 {
 		return fmt.Errorf("cluster: negative overhead")
 	}
-	s.record(EventOverhead, d, detail)
+	s.clock += d
 	return nil
-}
-
-// Barrier marks a synchronization point; the paper folds barrier cost into
-// computation, so it records a zero-duration event.
-func (s *Sim) Barrier() {
-	s.record(EventBarrier, 0, "barrier")
 }

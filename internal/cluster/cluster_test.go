@@ -120,7 +120,7 @@ func TestStragglersSlowButDeterministic(t *testing.T) {
 func TestTransferRounds(t *testing.T) {
 	s := mustNew(t, testConfig())
 	payload := units.Bits(1e9) // 1 second per round at 1 Gbit/s
-	d, err := s.TransferRounds(payload, 3, "test")
+	d, err := s.TransferRounds(payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func TestTransferRounds(t *testing.T) {
 	if math.Abs(float64(d)-want) > 1e-9 {
 		t.Errorf("transfer = %v, want %v", d, want)
 	}
-	if _, err := s.TransferRounds(payload, -1, "bad"); err == nil {
+	if _, err := s.TransferRounds(payload, -1); err == nil {
 		t.Error("negative rounds accepted")
 	}
-	if _, err := s.TransferRounds(-1, 1, "bad"); err == nil {
+	if _, err := s.TransferRounds(-1, 1); err == nil {
 		t.Error("negative payload accepted")
 	}
 }
@@ -140,7 +140,7 @@ func TestSharedMemoryTransfersFree(t *testing.T) {
 	cfg := testConfig()
 	cfg.Network = hardware.SharedMemoryBus()
 	s := mustNew(t, cfg)
-	d, err := s.TransferRounds(1e12, 10, "huge")
+	d, err := s.TransferRounds(1e12, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,38 +216,22 @@ func TestTreeAllReduce(t *testing.T) {
 	}
 }
 
-func TestOverheadAndEvents(t *testing.T) {
+func TestOverheadAdvancesClock(t *testing.T) {
 	s := mustNew(t, testConfig())
-	if err := s.Overhead(0.5, "driver"); err != nil {
+	if err := s.Overhead(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Overhead(-1, "bad"); err == nil {
+	if err := s.Overhead(-1); err == nil {
 		t.Error("negative overhead accepted")
 	}
-	s.Barrier()
+	if s.Clock() != 0.5 {
+		t.Errorf("clock after overhead = %v, want 0.5", s.Clock())
+	}
+	// 84.48e9 flops take exactly one second at effective flops.
 	if _, err := s.UniformComputePhase(84.48e9, 1); err != nil {
 		t.Fatal(err)
 	}
-	events := s.Events()
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
-	}
-	if events[0].Kind != EventOverhead || events[1].Kind != EventBarrier || events[2].Kind != EventCompute {
-		t.Errorf("event kinds: %v %v %v", events[0].Kind, events[1].Kind, events[2].Kind)
-	}
-	if events[2].At != 0.5 {
-		t.Errorf("compute event at %v, want 0.5", events[2].At)
-	}
-	s.Reset()
-	if s.Clock() != 0 || len(s.Events()) != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	for _, k := range []EventKind{EventCompute, EventTransfer, EventBarrier, EventOverhead} {
-		if k.String() == "" {
-			t.Error("empty event kind string")
-		}
+	if math.Abs(float64(s.Clock())-1.5) > 1e-9 {
+		t.Errorf("clock after compute = %v, want 1.5", s.Clock())
 	}
 }

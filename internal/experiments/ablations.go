@@ -247,9 +247,10 @@ func AblationConvergence(opts Options) (Result, error) {
 	}, nil
 }
 
-// AblationPartition quantifies the quality of the paper's Monte-Carlo
-// max-edges estimator against exact per-worker loads on a materialized
-// graph, and against better-than-random partitioners.
+// AblationPartition sets the paper's Monte-Carlo max-edges estimator beside
+// the degree-sum loads (Eᵢ_rnd, intra-worker edges counted twice) of one
+// random assignment of a materialized graph, and beside a
+// better-than-random partitioner.
 func AblationPartition(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	spec := graph.ScaledDNSGraph(20000)
@@ -278,7 +279,7 @@ func AblationPartition(opts Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		exact, err := partition.ExactLoads(g, randomAssign)
+		exact, err := partition.DegreeLoads(actualDegrees, randomAssign)
 		if err != nil {
 			return Result{}, err
 		}

@@ -149,16 +149,3 @@ func Run(id string, opts Options) (Result, error) {
 	}
 	return r(opts)
 }
-
-// RunAll executes every registered experiment in ID order.
-func RunAll(opts Options) ([]Result, error) {
-	var results []Result
-	for _, id := range IDs() {
-		res, err := Run(id, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}

@@ -1,241 +1,22 @@
-// Package gd implements gradient-descent training — batch gradient descent
-// and mini-batch SGD with data-parallel gradient computation — plus the
-// paper's analytic scalability models for gradient descent (§IV-A):
+// Package gd holds the paper's analytic scalability models for
+// data-parallel gradient descent (§IV-A):
 //
 //	t_cp = C·S / (F·n)
 //	t_cm = 2·(32·W/B)·log(n)          (generic two-stage tree)
 //
-// The data-parallel path computes shard gradients concurrently and averages
-// them; because the losses in package nn are batch-averaged, the averaged
-// data-parallel gradient is bit-for-bit-close to the sequential gradient,
-// which the tests assert. That identity is what lets the paper treat the
-// distributed algorithm's statistical behaviour as unchanged and model only
-// its time.
+// Averaged shard gradients equal the sequential batch gradient, so the
+// paper treats the distributed algorithm's statistical behaviour as
+// unchanged and models only its time.
 package gd
 
 import (
 	"fmt"
-	"sync"
 
 	"dmlscale/internal/comm"
 	"dmlscale/internal/core"
-	"dmlscale/internal/dataset"
 	"dmlscale/internal/hardware"
-	"dmlscale/internal/nn"
-	"dmlscale/internal/tensor"
 	"dmlscale/internal/units"
 )
-
-// Stepper applies one parameter update from accumulated gradients. SGD and
-// ScheduledSGD implement it.
-type Stepper interface {
-	Step(params, grads []*tensor.Dense) error
-}
-
-// SGD is a plain stochastic gradient descent optimizer with optional
-// momentum.
-type SGD struct {
-	LearningRate float64
-	Momentum     float64
-
-	velocity []*tensor.Dense
-}
-
-// Step applies one update: p ← p − lr·(g + momentum·v).
-func (o *SGD) Step(params, grads []*tensor.Dense) error {
-	if len(params) != len(grads) {
-		return fmt.Errorf("gd: step: %d params vs %d grads", len(params), len(grads))
-	}
-	if o.Momentum != 0 && o.velocity == nil {
-		o.velocity = make([]*tensor.Dense, len(params))
-		for i, p := range params {
-			o.velocity[i] = tensor.New(p.Rows(), p.Cols())
-		}
-	}
-	for i, p := range params {
-		if o.Momentum != 0 {
-			o.velocity[i].Scale(o.Momentum).AddInPlace(grads[i])
-			p.AXPY(-o.LearningRate, o.velocity[i])
-		} else {
-			p.AXPY(-o.LearningRate, grads[i])
-		}
-	}
-	return nil
-}
-
-// Gradient computes the batch-averaged gradient of net on (x, y)
-// sequentially, returning the loss. Gradients are left in net.Grads().
-func Gradient(net *nn.Network, x, y *tensor.Dense) float64 {
-	net.ZeroGrads()
-	return net.LossAndGradient(x, y)
-}
-
-// ParallelGradient computes the same batch-averaged gradient with the batch
-// split across workers goroutines, each running forward/backward on a
-// replica of net, then averages shard gradients weighted by shard size —
-// the data-parallel scheme of §IV-A. The result is written into net's
-// gradient buffers and the batch loss is returned.
-func ParallelGradient(net *nn.Network, d *dataset.Classification, workers int, replicas []*nn.Network) (float64, error) {
-	if workers < 1 {
-		return 0, fmt.Errorf("gd: parallel gradient: workers = %d < 1", workers)
-	}
-	if len(replicas) < workers {
-		return 0, fmt.Errorf("gd: parallel gradient: %d replicas for %d workers", len(replicas), workers)
-	}
-	shards, err := d.Shards(workers)
-	if err != nil {
-		return 0, err
-	}
-	losses := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if err := replicas[w].CopyParamsFrom(net); err != nil {
-			return 0, fmt.Errorf("gd: parallel gradient: replica %d: %w", w, err)
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			replicas[w].ZeroGrads()
-			losses[w] = replicas[w].LossAndGradient(shards[w].X, shards[w].Y)
-		}(w)
-	}
-	wg.Wait()
-
-	// Average shard gradients weighted by shard size: because each shard
-	// gradient is its shard-mean, the weighted average equals the full
-	// batch mean.
-	net.ZeroGrads()
-	total := float64(d.Len())
-	grads := net.Grads()
-	lossSum := 0.0
-	for w := 0; w < workers; w++ {
-		weight := float64(shards[w].Len()) / total
-		lossSum += losses[w] * weight
-		for gi, g := range replicas[w].Grads() {
-			grads[gi].AXPY(weight, g)
-		}
-	}
-	return lossSum, nil
-}
-
-// TrainResult records a training run.
-type TrainResult struct {
-	Epochs      int
-	FinalLoss   float64
-	LossHistory []float64
-	Converged   bool
-}
-
-// TrainOptions configures Train.
-type TrainOptions struct {
-	// Epochs is the maximum number of passes over the data.
-	Epochs int
-	// BatchSize is the mini-batch size; 0 means full batch (the paper's
-	// Spark configuration).
-	BatchSize int
-	// Tolerance stops training when the epoch loss falls below it; 0
-	// disables early stopping.
-	Tolerance float64
-	// Workers computes gradients data-parallel when > 1.
-	Workers int
-}
-
-// Train runs (mini-batch) gradient descent and returns the loss history.
-// With Workers > 1, each batch gradient is computed data-parallel; the
-// trajectory is identical to sequential training up to floating-point
-// reassociation.
-func Train(net *nn.Network, d *dataset.Classification, opt Stepper, opts TrainOptions) (TrainResult, error) {
-	if opt == nil {
-		return TrainResult{}, fmt.Errorf("gd: train: nil optimizer")
-	}
-	if opts.Epochs < 1 {
-		return TrainResult{}, fmt.Errorf("gd: train: epochs = %d < 1", opts.Epochs)
-	}
-	batch := opts.BatchSize
-	if batch <= 0 || batch > d.Len() {
-		batch = d.Len()
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var replicas []*nn.Network
-	if workers > 1 {
-		replicas = make([]*nn.Network, workers)
-		for i := range replicas {
-			r, err := cloneArchitecture(net)
-			if err != nil {
-				return TrainResult{}, err
-			}
-			replicas[i] = r
-		}
-	}
-
-	res := TrainResult{}
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		epochLoss := 0.0
-		batches := 0
-		for lo := 0; lo < d.Len(); lo += batch {
-			hi := lo + batch
-			if hi > d.Len() {
-				hi = d.Len()
-			}
-			mb, err := d.Slice(lo, hi)
-			if err != nil {
-				return res, err
-			}
-			var loss float64
-			if workers > 1 && mb.Len() >= workers {
-				loss, err = ParallelGradient(net, mb, workers, replicas)
-				if err != nil {
-					return res, err
-				}
-			} else {
-				loss = Gradient(net, mb.X, mb.Y)
-			}
-			if err := opt.Step(net.Params(), net.Grads()); err != nil {
-				return res, err
-			}
-			epochLoss += loss
-			batches++
-		}
-		epochLoss /= float64(batches)
-		res.LossHistory = append(res.LossHistory, epochLoss)
-		res.FinalLoss = epochLoss
-		res.Epochs = epoch + 1
-		if opts.Tolerance > 0 && epochLoss < opts.Tolerance {
-			res.Converged = true
-			break
-		}
-	}
-	return res, nil
-}
-
-// cloneArchitecture builds an empty copy of net's architecture for use as a
-// data-parallel replica. Only the layer types used by this module are
-// supported.
-func cloneArchitecture(net *nn.Network) (*nn.Network, error) {
-	layers := make([]nn.Layer, 0, len(net.Layers))
-	for _, l := range net.Layers {
-		switch v := l.(type) {
-		case *nn.DenseLayer:
-			layers = append(layers, nn.NewDense(v.In, v.Out, 0))
-		case *nn.Sigmoid:
-			layers = append(layers, &nn.Sigmoid{})
-		case *nn.ReLU:
-			layers = append(layers, &nn.ReLU{})
-		case *nn.Tanh:
-			layers = append(layers, &nn.Tanh{})
-		case *nn.Conv2D:
-			layers = append(layers, nn.NewConv2D(v.InH, v.InW, v.InC, v.KH, v.KW, v.OutC, v.Stride, 0))
-		case *nn.MaxPool2D:
-			layers = append(layers, nn.NewMaxPool2D(v.InH, v.InW, v.InC, v.K, v.Stride))
-		default:
-			return nil, fmt.Errorf("gd: cannot replicate layer %T", l)
-		}
-	}
-	return &nn.Network{Layers: layers, Loss: net.Loss}, nil
-}
 
 // Workload describes a gradient-descent workload for the analytic model.
 type Workload struct {

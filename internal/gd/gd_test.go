@@ -5,187 +5,9 @@ import (
 	"testing"
 
 	"dmlscale/internal/comm"
-	"dmlscale/internal/dataset"
 	"dmlscale/internal/hardware"
-	"dmlscale/internal/nn"
-	"dmlscale/internal/tensor"
 	"dmlscale/internal/units"
 )
-
-func newTestNet(t *testing.T, seed int64) *nn.Network {
-	t.Helper()
-	net, err := nn.NewMLP([]int{6, 8, 3}, func() nn.Layer { return &nn.Tanh{} },
-		nn.SoftmaxCrossEntropy{}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
-// TestDataParallelGradientEqualsSequential is the module's key invariant:
-// splitting a batch across workers and averaging shard gradients reproduces
-// the sequential batch gradient.
-func TestDataParallelGradientEqualsSequential(t *testing.T) {
-	d, err := dataset.GaussianBlobs(64, 6, 3, 0.3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 4, 7, 8} {
-		net := newTestNet(t, 5)
-		seqLoss := Gradient(net, d.X, d.Y)
-		seq := make([]*tensor.Dense, 0)
-		for _, g := range net.Grads() {
-			seq = append(seq, g.Clone())
-		}
-
-		replicas := make([]*nn.Network, workers)
-		for i := range replicas {
-			r, err := cloneArchitecture(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replicas[i] = r
-		}
-		parLoss, err := ParallelGradient(net, d, workers, replicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(parLoss-seqLoss) > 1e-9 {
-			t.Errorf("workers=%d: loss %v vs sequential %v", workers, parLoss, seqLoss)
-		}
-		for gi, g := range net.Grads() {
-			if diff := tensor.MaxAbsDiff(g, seq[gi]); diff > 1e-9 {
-				t.Errorf("workers=%d: grad %d deviates by %g", workers, gi, diff)
-			}
-		}
-	}
-}
-
-func TestParallelGradientErrors(t *testing.T) {
-	d, _ := dataset.GaussianBlobs(8, 6, 3, 0.3, 11)
-	net := newTestNet(t, 5)
-	if _, err := ParallelGradient(net, d, 0, nil); err == nil {
-		t.Error("zero workers accepted")
-	}
-	if _, err := ParallelGradient(net, d, 2, nil); err == nil {
-		t.Error("missing replicas accepted")
-	}
-}
-
-func TestSGDStep(t *testing.T) {
-	p := tensor.FromSlice(1, 2, []float64{1, 2})
-	g := tensor.FromSlice(1, 2, []float64{0.5, -0.5})
-	opt := &SGD{LearningRate: 0.1}
-	if err := opt.Step([]*tensor.Dense{p}, []*tensor.Dense{g}); err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.FromSlice(1, 2, []float64{0.95, 2.05})
-	if !tensor.Equal(p, want, 1e-12) {
-		t.Errorf("after step: %v, want %v", p, want)
-	}
-	if err := opt.Step([]*tensor.Dense{p}, nil); err == nil {
-		t.Error("mismatched step accepted")
-	}
-}
-
-func TestSGDMomentum(t *testing.T) {
-	p := tensor.FromSlice(1, 1, []float64{0})
-	g := tensor.FromSlice(1, 1, []float64{1})
-	opt := &SGD{LearningRate: 1, Momentum: 0.5}
-	// v1 = 1, p = -1; v2 = 1.5, p = -2.5.
-	opt.Step([]*tensor.Dense{p}, []*tensor.Dense{g})
-	if p.At(0, 0) != -1 {
-		t.Fatalf("after first step p = %v", p.At(0, 0))
-	}
-	opt.Step([]*tensor.Dense{p}, []*tensor.Dense{g})
-	if p.At(0, 0) != -2.5 {
-		t.Fatalf("after second step p = %v", p.At(0, 0))
-	}
-}
-
-func TestTrainXORConverges(t *testing.T) {
-	net, err := nn.NewMLP([]int{2, 8, 2}, func() nn.Layer { return &nn.Tanh{} },
-		nn.SoftmaxCrossEntropy{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := dataset.XOR()
-	res, err := Train(net, d, &SGD{LearningRate: 0.5}, TrainOptions{Epochs: 2000, Tolerance: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("XOR did not converge: final loss %v after %d epochs", res.FinalLoss, res.Epochs)
-	}
-	if acc := net.Accuracy(d.X, d.Labels); acc != 1 {
-		t.Errorf("XOR accuracy = %v, want 1", acc)
-	}
-}
-
-func TestTrainLossDecreases(t *testing.T) {
-	d, _ := dataset.GaussianBlobs(120, 6, 3, 0.2, 21)
-	net := newTestNet(t, 9)
-	res, err := Train(net, d, &SGD{LearningRate: 0.3}, TrainOptions{Epochs: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalLoss >= res.LossHistory[0] {
-		t.Errorf("loss did not decrease: %v -> %v", res.LossHistory[0], res.FinalLoss)
-	}
-	if acc := net.Accuracy(d.X, d.Labels); acc < 0.9 {
-		t.Errorf("blob accuracy = %v, want ≥ 0.9", acc)
-	}
-}
-
-// TestTrainParallelMatchesSequential: with identical initial weights, the
-// data-parallel trajectory matches the sequential one.
-func TestTrainParallelMatchesSequential(t *testing.T) {
-	d, _ := dataset.GaussianBlobs(60, 6, 3, 0.2, 33)
-	seq := newTestNet(t, 17)
-	par := newTestNet(t, 999)
-	if err := par.CopyParamsFrom(seq); err != nil {
-		t.Fatal(err)
-	}
-	resSeq, err := Train(seq, d, &SGD{LearningRate: 0.2}, TrainOptions{Epochs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPar, err := Train(par, d, &SGD{LearningRate: 0.2}, TrainOptions{Epochs: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(resSeq.FinalLoss-resPar.FinalLoss) > 1e-7 {
-		t.Errorf("final losses differ: sequential %v vs parallel %v", resSeq.FinalLoss, resPar.FinalLoss)
-	}
-	for i, p := range seq.Params() {
-		if diff := tensor.MaxAbsDiff(p, par.Params()[i]); diff > 1e-7 {
-			t.Errorf("param %d deviates by %g after parallel training", i, diff)
-		}
-	}
-}
-
-func TestTrainMiniBatch(t *testing.T) {
-	d, _ := dataset.GaussianBlobs(64, 6, 3, 0.2, 41)
-	net := newTestNet(t, 19)
-	res, err := Train(net, d, &SGD{LearningRate: 0.2}, TrainOptions{Epochs: 10, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs != 10 {
-		t.Errorf("epochs = %d", res.Epochs)
-	}
-	if res.FinalLoss >= res.LossHistory[0] {
-		t.Errorf("mini-batch loss did not decrease")
-	}
-}
-
-func TestTrainErrors(t *testing.T) {
-	d, _ := dataset.GaussianBlobs(8, 6, 3, 0.2, 41)
-	net := newTestNet(t, 19)
-	if _, err := Train(net, d, &SGD{LearningRate: 0.1}, TrainOptions{}); err == nil {
-		t.Error("zero epochs accepted")
-	}
-}
 
 func TestWorkloadValidate(t *testing.T) {
 	good := Workload{Name: "w", FlopsPerExample: 1, BatchSize: 1, ModelBits: 1}

@@ -93,7 +93,7 @@ func InstanceTime(cfg Config, n, steps int) (units.Seconds, error) {
 	}
 	modelBits := units.Bits(cfg.PrecisionBits * cfg.Parameters)
 	for s := 0; s < steps; s++ {
-		if err := sim.Overhead(cfg.StepOverhead, "step coordination"); err != nil {
+		if err := sim.Overhead(cfg.StepOverhead); err != nil {
 			return 0, err
 		}
 		// Each worker computes its fixed batch (weak scaling).
@@ -108,7 +108,6 @@ func InstanceTime(cfg Config, n, steps int) (units.Seconds, error) {
 		if _, err := sim.TreeAllReduce(modelBits, n); err != nil {
 			return 0, err
 		}
-		sim.Barrier()
 	}
 	instances := cfg.PerWorkerBatch * float64(n) * float64(steps)
 	return sim.Clock() / units.Seconds(instances), nil

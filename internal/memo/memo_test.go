@@ -578,3 +578,25 @@ func TestDoBatchCoalescesWithSingles(t *testing.T) {
 		t.Errorf("computed %d values, want %d (one per distinct key)", got, want)
 	}
 }
+
+// TestDoCtxHitAllocatesNothing pins the warm path every cached kernel
+// estimate takes: a hit on a striped cache with a struct key allocates
+// nothing.
+func TestDoCtxHitAllocatesNothing(t *testing.T) {
+	type key struct{ fnv, workers uint64 }
+	c := New[key, float64](64, 8, func(k key) uint64 { return Mix(k.fnv, k.workers) })
+	ctx := context.Background()
+	k := key{fnv: 0x9e3779b97f4a7c15, workers: 16}
+	compute := func() (float64, error) { return 1.5, nil }
+	if _, err := c.DoCtx(ctx, k, compute); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if v, err := c.DoCtx(ctx, k, compute); err != nil || v != 1.5 {
+			t.Fatalf("hit = %v, %v", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm DoCtx hit allocated %.1f objects, want 0", allocs)
+	}
+}

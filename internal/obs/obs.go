@@ -179,14 +179,6 @@ func (s *Span) SetInt(key string, value int64) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: fmt.Sprintf("%d", value)})
 }
 
-// SetFloat annotates the span with a float value. No-op on a nil span.
-func (s *Span) SetFloat(key string, value float64) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: fmt.Sprintf("%g", value)})
-}
-
 // SetError annotates the span with an error, if any. No-op on a nil span
 // or nil error.
 func (s *Span) SetError(err error) {
@@ -260,12 +252,6 @@ func TraceFrom(ctx context.Context) TraceID {
 		return id
 	}
 	return TraceID{}
-}
-
-// SpanFrom returns the span carried by ctx, nil if none.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
 }
 
 // Start begins a span named name under the span (and trace) carried by

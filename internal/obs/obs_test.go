@@ -27,7 +27,6 @@ func TestStartWithoutRecorderIsFree(t *testing.T) {
 	// Every method must tolerate the nil span.
 	span.SetString("k", "v")
 	span.SetInt("n", 1)
-	span.SetFloat("f", 0.5)
 	span.SetError(context.Canceled)
 	span.End()
 	if span.Duration() != 0 || span.Name() != "" || span.ID() != 0 {

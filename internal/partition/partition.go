@@ -235,8 +235,7 @@ type Estimate struct {
 // vertex placements per trial — common random numbers — so the difference
 // between two curve points measures the partition modulus, not sampling
 // noise, and one RNG pass per trial can feed every requested worker count
-// at once. (The pre-batch scheme, StreamSeed, hashed workers into the
-// stream and so forced one full RNG pass per (workers, trial) cell.)
+// at once.
 func TrialSeed(seed int64, trial int) uint64 {
 	h := memo.SplitMix64(uint64(seed))
 	return memo.SplitMix64(h ^ uint64(trial))
@@ -539,25 +538,6 @@ func (t *cutCells) pass(state rng, degrees []int32, sums, loads []int64) {
 			prev = 0 // a worker count's last slot; the next starts at 0
 		}
 	}
-}
-
-// ExactLoads returns, for each worker, the exact number of edges it
-// processes under the assignment: every edge is counted once per endpoint
-// owner (vertex-centric message passing works per directed edge), so an
-// intra-worker edge contributes 2 to its worker and a cross-worker edge 1 to
-// each side. This is the ground truth the estimator approximates.
-func ExactLoads(g *graph.Graph, a Assignment) ([]int64, error) {
-	if g.NumVertices() != len(a.Owner) {
-		return nil, fmt.Errorf("partition: graph has %d vertices, assignment %d", g.NumVertices(), len(a.Owner))
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	loads := make([]int64, a.Workers)
-	for v := 0; v < g.NumVertices(); v++ {
-		loads[a.Owner[v]] += int64(g.Degree(v))
-	}
-	return loads, nil
 }
 
 // ReplicationFactor returns r, the average number of remote workers that

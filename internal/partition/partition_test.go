@@ -482,6 +482,8 @@ func TestMonteCarloErrors(t *testing.T) {
 	}
 }
 
+// TestExactLoads checks DegreeLoads over a materialized graph's degrees
+// against hand-counted per-worker loads.
 func TestExactLoads(t *testing.T) {
 	// 4-cycle split in half: each worker owns 2 adjacent vertices, one
 	// intra edge (counted twice) + two cross edges (once each side) = 4.
@@ -490,15 +492,43 @@ func TestExactLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Assignment{Workers: 2, Owner: []int32{0, 0, 1, 1}}
-	loads, err := ExactLoads(g, a)
+	loads, err := DegreeLoads(g.Degrees(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loads[0] != 4 || loads[1] != 4 {
 		t.Errorf("loads = %v, want [4 4]", loads)
 	}
-	if _, err := ExactLoads(g, Assignment{Workers: 2, Owner: []int32{0}}); err == nil {
+	if _, err := DegreeLoads(g.Degrees(), Assignment{Workers: 2, Owner: []int32{0}}); err == nil {
 		t.Error("mismatched assignment accepted")
+	}
+}
+
+// TestMonteCarloBatchAllocs pins the allocations of one batched kernel call
+// over a 64-point worker axis: a fixed set per call plus one loads buffer,
+// one sums buffer and one goroutine per extra trial shard. The count does
+// not depend on the vertex count.
+func TestMonteCarloBatchAllocs(t *testing.T) {
+	defer core.SetParallelism(0)
+	degrees, err := graph.ScaledDNSGraph(10000).Degrees(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := core.Range(1, 64)
+	for _, tc := range []struct {
+		parallelism int
+		pin         float64
+	}{{1, 17}, {3, 23}} {
+		core.SetParallelism(tc.parallelism)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, workers, 3, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.pin {
+			t.Errorf("parallelism %d: batched kernel allocated %.0f objects per call, pinned at %.0f",
+				tc.parallelism, allocs, tc.pin)
+		}
 	}
 }
 

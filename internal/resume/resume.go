@@ -183,6 +183,3 @@ func (r *Run) Close() error {
 	}
 	return closeErr
 }
-
-// Path returns the journal's path.
-func (r *Run) Path() string { return r.journal.Path() }

@@ -118,7 +118,7 @@ func IterationTime(cfg Config, n, iterations int) (units.Seconds, error) {
 	}
 	for it := 0; it < iterations; it++ {
 		driver := cfg.DriverOverhead + cfg.PerWorkerDriverOverhead*units.Seconds(n)
-		if err := sim.Overhead(driver, "driver scheduling"); err != nil {
+		if err := sim.Overhead(driver); err != nil {
 			return 0, err
 		}
 		if _, err := sim.TorrentBroadcast(cfg.modelBits(), n); err != nil {
@@ -131,7 +131,6 @@ func IterationTime(cfg Config, n, iterations int) (units.Seconds, error) {
 		if _, err := sim.SqrtWaveAggregate(cfg.modelBits(), n); err != nil {
 			return 0, err
 		}
-		sim.Barrier()
 	}
 	return sim.Clock() / units.Seconds(iterations), nil
 }
