@@ -11,7 +11,7 @@
 //
 //	POST /v1/sweep   {"suite": {...}}                 → dmls-sweep -format json output
 //	POST /v1/plan    {"suite": {...}, "adaptive": true} → dmls-plan -format json output
-//	GET  /healthz    liveness: "ok"; 200 "degraded" while a kernel circuit
+//	GET  /healthz    liveness: "ok"; 200 "degraded" while the kernel circuit
 //	                 breaker is open; 503 "draining" during shutdown
 //	GET  /metrics    Prometheus text exposition (counters, per-route latency
 //	                 histograms, breaker and cache gauges)
@@ -31,11 +31,14 @@
 // server. SIGINT/SIGTERM starts a graceful drain: in-flight requests get
 // -drain-timeout to finish before their contexts are cancelled.
 //
-// Each route has a kernel circuit breaker (-breaker-*). A request counts
-// against it only when a cell failed with a transient kernel fault; a cell
-// that fails on the client's own input (an unknown protocol kind, say)
-// neither trips nor heals it. While a breaker is open, /v1/plan answers
-// with bound-model estimates marked "degraded" and /v1/sweep sheds 503.
+// One circuit breaker guards the Monte-Carlo kernel fill, the only step
+// of either route that can fail transiently. A fill counts against it only
+// when its transient kernel faults outlast the retries; a cell that fails
+// on the client's own input (an unknown protocol kind, say) never reaches
+// it. While it is open, each fill fails fast and its cell carries a
+// "kernel unavailable" error; every other cell, and every graph cell whose
+// estimates are cached, answers exactly as with the breaker closed. After
+// -breaker-open-for, the next fill is the probe that closes it again.
 package main
 
 import (
@@ -75,10 +78,7 @@ func run(args []string, stderr *os.File) int {
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables profiling")
 		accessLog    = fs.String("access-log", "", "append structured JSON access-log lines to this file; \"-\" means stderr, empty disables")
 
-		breakerWindow  = fs.Int("breaker-window", 20, "request outcomes in the kernel circuit breaker's rolling window")
-		breakerMin     = fs.Int("breaker-min-samples", 5, "minimum outcomes in the window before the breaker may trip")
-		breakerRatio   = fs.Float64("breaker-failure-ratio", 0.5, "failure ratio that opens the breaker (plans degrade to bound estimates, sweeps shed 503)")
-		breakerOpenFor = fs.Duration("breaker-open-for", 15*time.Second, "how long an open breaker waits before admitting a half-open probe")
+		breakerOpenFor = fs.Duration("breaker-open-for", 15*time.Second, "how long the open kernel circuit breaker fails fills fast before admitting a probe fill")
 		chaosKernel    = fs.Int("chaos-kernel-errors", 0, "UNSAFE drill knob: fail the first N attempts of every kernel computation with a transient fault, for breaker and retry exercises")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -111,12 +111,7 @@ func run(args []string, stderr *os.File) int {
 		MaxCells:        *maxCells,
 		DrainTimeout:    *drainTimeout,
 		AccessLog:       logW,
-		Breaker: serve.BreakerConfig{
-			Window:       *breakerWindow,
-			MinSamples:   *breakerMin,
-			FailureRatio: *breakerRatio,
-			OpenFor:      *breakerOpenFor,
-		},
+		BreakerOpenFor:  *breakerOpenFor,
 	})
 
 	if n := *chaosKernel; n > 0 {
@@ -124,8 +119,8 @@ func run(args []string, stderr *os.File) int {
 		// with a transient fault. With n below the retry policy's attempts
 		// per kernel computation (3 by default) the service absorbs the
 		// faults on sweeps and plans alike (retries, no user-visible
-		// errors); at or past it, failures surface, the breakers trip and
-		// the degraded path serves. The loadtest script rehearses both
+		// errors); at or past it, failed fills surface as cell errors and
+		// trip the kernel breaker. The loadtest script rehearses both
 		// sides.
 		fmt.Fprintf(stderr, "dmls-serve: CHAOS: failing the first %d attempts of every kernel computation\n", n)
 		registry.SetKernelFault(func(c registry.KernelCall) registry.KernelFault {

@@ -62,8 +62,8 @@ import (
 
 // Core modeling types.
 type (
-	// Model is a per-superstep time model with Speedup, Efficiency,
-	// SpeedupCurve and OptimalWorkers methods.
+	// Model is a per-superstep time model with Speedup, SpeedupCurve and
+	// OptimalWorkers methods.
 	Model = core.Model
 	// Curve is a sampled speedup curve.
 	Curve = core.Curve

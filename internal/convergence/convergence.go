@@ -119,25 +119,3 @@ func (m TradeoffModel) OptimalWorkers(maxN int) (int, float64, error) {
 	}
 	return bestN, bestS, nil
 }
-
-// Curve evaluates time-to-accuracy speedup at the given worker counts.
-func (m TradeoffModel) Curve(workers []int) (core.Curve, error) {
-	if err := m.Validate(); err != nil {
-		return core.Curve{}, err
-	}
-	if len(workers) == 0 {
-		return core.Curve{}, fmt.Errorf("convergence: no worker counts")
-	}
-	c := core.Curve{Name: m.Name, Points: make([]core.Point, 0, len(workers))}
-	for _, n := range workers {
-		if n < 1 {
-			return core.Curve{}, fmt.Errorf("convergence: worker count %d < 1", n)
-		}
-		c.Points = append(c.Points, core.Point{
-			N:       n,
-			Time:    m.TimeToAccuracy(n),
-			Speedup: m.Speedup(n),
-		})
-	}
-	return c, nil
-}

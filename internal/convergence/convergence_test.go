@@ -141,28 +141,6 @@ func TestSpeedupIdentityAtOne(t *testing.T) {
 	}
 }
 
-func TestCurve(t *testing.T) {
-	m := testModel(LinearScalingRule)
-	c, err := m.Curve([]int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Points) != 3 || c.Points[0].Speedup != 1 {
-		t.Errorf("curve = %+v", c.Points)
-	}
-	if _, err := m.Curve(nil); err == nil {
-		t.Error("empty curve accepted")
-	}
-	if _, err := m.Curve([]int{0}); err == nil {
-		t.Error("zero workers accepted")
-	}
-	bad := m
-	bad.Rule = nil
-	if _, err := bad.Curve([]int{1}); err == nil {
-		t.Error("invalid model accepted")
-	}
-}
-
 func TestOptimalWorkersErrors(t *testing.T) {
 	m := testModel(LinearScalingRule)
 	if _, _, err := m.OptimalWorkers(0); err == nil {

@@ -75,12 +75,6 @@ func (m Model) SpeedupRelative(base, n int) float64 {
 	return tb / tn
 }
 
-// Efficiency returns s(n)/n, the average fraction of each worker's capacity
-// the algorithm converts into speedup.
-func (m Model) Efficiency(n int) float64 {
-	return m.Speedup(n) / float64(n)
-}
-
 // Point is one sample of a speedup curve.
 type Point struct {
 	N       int
@@ -249,15 +243,6 @@ func Range(lo, hi int) []int {
 	return ns
 }
 
-// PowersOfTwo returns 1, 2, 4, ... up to at most max.
-func PowersOfTwo(max int) []int {
-	var ns []int
-	for n := 1; n <= max; n *= 2 {
-		ns = append(ns, n)
-	}
-	return ns
-}
-
 // MinWorkersFor returns the smallest n in [1, maxN] achieving speedup ≥
 // target — the answer to the paper's first practitioner question ("how many
 // more machines are needed to decrease the run time by a certain amount?").
@@ -265,28 +250,6 @@ func PowersOfTwo(max int) []int {
 func (m Model) MinWorkersFor(target float64, maxN int) (n int, ok bool) {
 	for k := 1; k <= maxN; k++ {
 		if m.Speedup(k) >= target {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// EfficiencyCurve returns s(n)/n at each worker count.
-func (m Model) EfficiencyCurve(workers []int) []float64 {
-	out := make([]float64, len(workers))
-	for i, n := range workers {
-		out[i] = m.Efficiency(n)
-	}
-	return out
-}
-
-// MinWorkersForTime returns the smallest n in [1, maxN] with t(n) ≤ target
-// — the weak-scaling planning primitive ("how many machines keep the run
-// time the same as the workload grows?"). ok is false when no n in range is
-// fast enough.
-func (m Model) MinWorkersForTime(target units.Seconds, maxN int) (n int, ok bool) {
-	for k := 1; k <= maxN; k++ {
-		if m.Time(k) <= target {
 			return k, true
 		}
 	}

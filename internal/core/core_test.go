@@ -155,27 +155,12 @@ func TestSpeedupRelative(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	m := Model{
-		Name:        "ideal",
-		Computation: func(n int) units.Seconds { return units.Seconds(1.0 / float64(n)) },
-	}
-	for _, n := range []int{1, 4, 16} {
-		if e := m.Efficiency(n); math.Abs(e-1) > 1e-9 {
-			t.Errorf("ideal efficiency(%d) = %v, want 1", n, e)
-		}
-	}
-}
-
-func TestRangeAndPowers(t *testing.T) {
+func TestRange(t *testing.T) {
 	if got := Range(3, 5); len(got) != 3 || got[0] != 3 || got[2] != 5 {
 		t.Errorf("Range(3,5) = %v", got)
 	}
 	if got := Range(5, 3); got != nil {
 		t.Errorf("Range(5,3) = %v, want nil", got)
-	}
-	if got := PowersOfTwo(10); len(got) != 4 || got[3] != 8 {
-		t.Errorf("PowersOfTwo(10) = %v", got)
 	}
 }
 
@@ -198,41 +183,6 @@ func TestSpeedupProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAmdahl(t *testing.T) {
-	m := Amdahl(0.1)
-	// Amdahl bound: s(n) < 1/f = 10.
-	for _, n := range []int{1, 10, 1000, 100000} {
-		if s := m.Speedup(n); s >= 10 {
-			t.Errorf("Amdahl speedup(%d) = %v, want < 10", n, s)
-		}
-	}
-	if s := m.Speedup(1); math.Abs(s-1) > 1e-12 {
-		t.Errorf("Amdahl s(1) = %v", s)
-	}
-	// s(n) approaches the bound.
-	if s := m.Speedup(1 << 20); s < 9.9 {
-		t.Errorf("Amdahl s(2^20) = %v, want ≈ 10", s)
-	}
-}
-
-func TestGustafson(t *testing.T) {
-	if s := GustafsonSpeedup(0.1, 10); math.Abs(s-9.1) > 1e-12 {
-		t.Errorf("Gustafson(0.1, 10) = %v, want 9.1", s)
-	}
-	if s := GustafsonSpeedup(0, 7); math.Abs(s-7) > 1e-12 {
-		t.Errorf("Gustafson(0, 7) = %v, want 7", s)
-	}
-}
-
-func TestLinearScaling(t *testing.T) {
-	m := LinearScaling(100)
-	for _, n := range []int{1, 3, 17} {
-		if s := m.Speedup(n); math.Abs(s-float64(n)) > 1e-9 {
-			t.Errorf("LinearScaling s(%d) = %v", n, s)
-		}
 	}
 }
 
@@ -264,61 +214,5 @@ func TestWeakScaled(t *testing.T) {
 	s2k := lin.SpeedupRelative(1, 2000)
 	if math.Abs(s2k-s1k) > 0.05*s1k {
 		t.Errorf("weak scaling with linear comm should flatten: s(1000)=%v s(2000)=%v", s1k, s2k)
-	}
-}
-
-func TestAlgorithm(t *testing.T) {
-	alg := Algorithm{
-		Name: "two supersteps",
-		Supersteps: []Superstep{
-			{
-				Name:          "gradient",
-				Computation:   func(n int) units.Seconds { return units.Seconds(10.0 / float64(n)) },
-				Communication: func(n int) units.Seconds { return units.Seconds(0.1 * float64(n)) },
-			},
-			{
-				Name:        "update",
-				Computation: func(n int) units.Seconds { return units.Seconds(1.0 / float64(n)) },
-			},
-		},
-		Iterations: 5,
-	}
-	if err := alg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wantPer := 10.0/2 + 0.1*2 + 1.0/2
-	if got := alg.Time(2); math.Abs(float64(got)-5*wantPer) > 1e-9 {
-		t.Errorf("Algorithm.Time(2) = %v, want %v", got, 5*wantPer)
-	}
-	// Collapsed model agrees with direct evaluation.
-	m := alg.Model()
-	for _, n := range []int{1, 2, 8} {
-		if math.Abs(float64(m.Time(n)-alg.Time(n))) > 1e-9 {
-			t.Errorf("Model().Time(%d) = %v, want %v", n, m.Time(n), alg.Time(n))
-		}
-	}
-	// Iterations cancel in speedup.
-	once := alg
-	once.Iterations = 1
-	if math.Abs(once.Model().Speedup(4)-m.Speedup(4)) > 1e-9 {
-		t.Error("iteration count should cancel in speedup")
-	}
-}
-
-func TestAlgorithmValidate(t *testing.T) {
-	if err := (Algorithm{Name: "empty"}).Validate(); err == nil {
-		t.Error("empty algorithm accepted")
-	}
-	bad := Algorithm{Name: "bad", Supersteps: []Superstep{{Name: "s"}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("superstep without computation accepted")
-	}
-	neg := Algorithm{
-		Name:       "neg",
-		Supersteps: []Superstep{{Name: "s", Computation: func(int) units.Seconds { return 1 }}},
-		Iterations: -1,
-	}
-	if err := neg.Validate(); err == nil {
-		t.Error("negative iterations accepted")
 	}
 }

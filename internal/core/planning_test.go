@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-
-	"dmlscale/internal/units"
-)
+import "testing"
 
 func TestMinWorkersFor(t *testing.T) {
 	m := exampleModel()
@@ -24,39 +19,5 @@ func TestMinWorkersFor(t *testing.T) {
 	// Target 1 is met by a single worker.
 	if n, ok := m.MinWorkersFor(1, 30); !ok || n != 1 {
 		t.Errorf("MinWorkersFor(1) = %d, %v", n, ok)
-	}
-}
-
-func TestMinWorkersForTime(t *testing.T) {
-	m := exampleModel() // t(n) = 196/n + n, minimum 28 at n = 14
-	n, ok := m.MinWorkersForTime(units.Seconds(35), 30)
-	if !ok {
-		t.Fatal("35s not reachable")
-	}
-	if float64(m.Time(n)) > 35 || (n > 1 && float64(m.Time(n-1)) <= 35) {
-		t.Errorf("MinWorkersForTime(35) = %d is not minimal (t=%v)", n, m.Time(n))
-	}
-	// The model's minimum time is 28s; 20s is unreachable.
-	if _, ok := m.MinWorkersForTime(units.Seconds(20), 30); ok {
-		t.Error("sub-minimum time reported reachable")
-	}
-}
-
-func TestEfficiencyCurve(t *testing.T) {
-	m := exampleModel()
-	workers := []int{1, 2, 14}
-	effs := m.EfficiencyCurve(workers)
-	if len(effs) != 3 {
-		t.Fatalf("len = %d", len(effs))
-	}
-	for i, n := range workers {
-		want := m.Speedup(n) / float64(n)
-		if math.Abs(effs[i]-want) > 1e-12 {
-			t.Errorf("efficiency[%d] = %v, want %v", i, effs[i], want)
-		}
-	}
-	// Efficiency declines with scale for this workload.
-	if !(effs[0] > effs[1] && effs[1] > effs[2]) {
-		t.Errorf("efficiency not declining: %v", effs)
 	}
 }

@@ -4,41 +4,6 @@ import (
 	"dmlscale/internal/units"
 )
 
-// Reference models from the parallel-algorithms literature the paper builds
-// on. They serve as baselines and sanity bounds for the ML-specific models.
-
-// Amdahl returns Amdahl's-law model for a workload with the given serial
-// fraction f in [0, 1] and unit total time: t(n) = f + (1−f)/n, so
-// s(n) = 1 / (f + (1−f)/n), bounded above by 1/f.
-func Amdahl(serialFraction float64) Model {
-	f := serialFraction
-	return Model{
-		Name: "Amdahl",
-		Computation: func(n int) units.Seconds {
-			return units.Seconds(f + (1-f)/float64(n))
-		},
-	}
-}
-
-// Gustafson returns the Gustafson–Barsis scaled-speedup model with serial
-// fraction f of the per-node time: the scaled speedup is
-// s(n) = f + (1−f)·n. It is expressed here as a Model over the scaled
-// workload (work grows with n, time per node stays unit), so
-// Time(n) = 1 and ScaledSpeedup must be read from GustafsonSpeedup.
-func GustafsonSpeedup(serialFraction float64, n int) float64 {
-	return serialFraction + (1-serialFraction)*float64(n)
-}
-
-// LinearScaling is the ideal strong-scaling model: t(n) = c/n, s(n) = n.
-func LinearScaling(totalTime units.Seconds) Model {
-	return Model{
-		Name: "linear scaling",
-		Computation: func(n int) units.Seconds {
-			return totalTime / units.Seconds(n)
-		},
-	}
-}
-
 // WeakScaled converts a strong-scaling model of per-input-unit cost into the
 // paper's weak-scaling view (§V-A, Fig. 3): each worker contributes a fixed
 // per-worker workload, the effective batch grows with n, and the metric is

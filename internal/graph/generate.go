@@ -75,39 +75,6 @@ func CompleteBinaryTree(n int) (*Graph, error) {
 	return FromEdges(n, edges)
 }
 
-// ErdosRenyi returns a uniform random simple graph with the exact edge
-// count, rejection-sampling duplicates; intended for small and medium test
-// graphs.
-func ErdosRenyi(vertices int, edgeCount int64, seed int64) (*Graph, error) {
-	if vertices < 2 {
-		return nil, fmt.Errorf("graph: erdos-renyi: need ≥ 2 vertices")
-	}
-	maxEdges := int64(vertices) * int64(vertices-1) / 2
-	if edgeCount < 0 || edgeCount > maxEdges {
-		return nil, fmt.Errorf("graph: erdos-renyi: edge count %d out of [0, %d]", edgeCount, maxEdges)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[int64]struct{}, edgeCount)
-	edges := make([]Edge, 0, edgeCount)
-	for int64(len(edges)) < edgeCount {
-		u := rng.Intn(vertices)
-		v := rng.Intn(vertices)
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := int64(u)*int64(vertices) + int64(v)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		edges = append(edges, Edge{int32(u), int32(v)})
-	}
-	return FromEdges(vertices, edges)
-}
-
 // ChungLu materializes a random graph whose expected degree sequence matches
 // the given one, by sampling each vertex's half-edges proportionally to
 // degree. The result is simple (duplicates and self loops rejected), so

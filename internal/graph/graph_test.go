@@ -133,27 +133,6 @@ func TestStarCyclePathTree(t *testing.T) {
 
 func errOf(_ *Graph, err error) error { return err }
 
-func TestErdosRenyi(t *testing.T) {
-	g, err := ErdosRenyi(50, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 50 || g.NumEdges() != 200 {
-		t.Errorf("V=%d E=%d", g.NumVertices(), g.NumEdges())
-	}
-	// Determinism.
-	g2, _ := ErdosRenyi(50, 200, 7)
-	if g2.Stats() != g.Stats() {
-		t.Error("same seed, different graph stats")
-	}
-	if _, err := ErdosRenyi(1, 0, 7); err == nil {
-		t.Error("single vertex accepted")
-	}
-	if _, err := ErdosRenyi(4, 100, 7); err == nil {
-		t.Error("impossible edge count accepted")
-	}
-}
-
 func TestChungLu(t *testing.T) {
 	// Regular degree sequence: realizable exactly in expectation.
 	degrees := make([]int32, 40)

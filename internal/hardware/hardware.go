@@ -6,7 +6,6 @@
 package hardware
 
 import (
-	"errors"
 	"fmt"
 
 	"dmlscale/internal/units"
@@ -76,28 +75,6 @@ func (nw Network) Validate() error {
 	}
 	if nw.Latency < 0 {
 		return fmt.Errorf("hardware: network %q: latency must be non-negative, got %v", nw.Name, nw.Latency)
-	}
-	return nil
-}
-
-// Cluster is a set of identical nodes joined by one network.
-type Cluster struct {
-	Node    Node
-	Network Network
-	// MaxNodes bounds how many nodes can be provisioned; 0 means unbounded.
-	MaxNodes int
-}
-
-// Validate reports whether the cluster description is usable in a model.
-func (c Cluster) Validate() error {
-	if err := c.Node.Validate(); err != nil {
-		return err
-	}
-	if err := c.Network.Validate(); err != nil {
-		return err
-	}
-	if c.MaxNodes < 0 {
-		return errors.New("hardware: cluster: max nodes must be non-negative")
 	}
 	return nil
 }
@@ -175,21 +152,4 @@ func SharedMemoryBus() Network {
 		SharedMemory: true,
 		Bandwidth:    100 * units.Gbps,
 	}
-}
-
-// SparkCluster is the §V-A testbed: dedicated Xeon E3-1240 workers on
-// 1 Gbit/s Ethernet.
-func SparkCluster(maxNodes int) Cluster {
-	return Cluster{Node: XeonE31240(), Network: GigabitEthernet(), MaxNodes: maxNodes}
-}
-
-// GPUCluster is the Chen et al. testbed: K40 workers on a 1 Gbit/s network
-// (the paper's assumed bandwidth).
-func GPUCluster(maxNodes int) Cluster {
-	return Cluster{Node: NvidiaK40(), Network: GigabitEthernet(), MaxNodes: maxNodes}
-}
-
-// DL980 is the §V-B testbed: up to 80 cores over shared memory.
-func DL980() Cluster {
-	return Cluster{Node: ProLiantDL980Core(), Network: SharedMemoryBus(), MaxNodes: 80}
 }

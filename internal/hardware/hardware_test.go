@@ -55,6 +55,7 @@ func TestNetworkValidate(t *testing.T) {
 	}{
 		{"gigabit", GigabitEthernet(), false},
 		{"ten gigabit", TenGigabitEthernet(), false},
+		{"shared memory", SharedMemoryBus(), false},
 		{"shared memory without bandwidth", Network{SharedMemory: true}, false},
 		{"zero bandwidth", Network{Name: "x"}, true},
 		{"negative latency", Network{Name: "x", Bandwidth: 1, Latency: -1}, true},
@@ -73,6 +74,9 @@ func TestCatalogNodesArePriced(t *testing.T) {
 	// the relative magnitudes should reflect the hardware class.
 	xeon, k40, core := XeonE31240(), NvidiaK40(), ProLiantDL980Core()
 	for _, n := range []Node{xeon, k40, core} {
+		if err := n.Validate(); err != nil {
+			t.Errorf("%s: %v", n.Name, err)
+		}
 		if n.CostPerHour <= 0 {
 			t.Errorf("%s: catalog node unpriced", n.Name)
 		}
@@ -80,31 +84,5 @@ func TestCatalogNodesArePriced(t *testing.T) {
 	if !(k40.CostPerHour > xeon.CostPerHour && xeon.CostPerHour > core.CostPerHour) {
 		t.Errorf("cost rates out of order: k40 %v, xeon %v, core %v",
 			k40.CostPerHour, xeon.CostPerHour, core.CostPerHour)
-	}
-}
-
-func TestClusterValidate(t *testing.T) {
-	if err := SparkCluster(16).Validate(); err != nil {
-		t.Errorf("SparkCluster: %v", err)
-	}
-	if err := GPUCluster(200).Validate(); err != nil {
-		t.Errorf("GPUCluster: %v", err)
-	}
-	if err := DL980().Validate(); err != nil {
-		t.Errorf("DL980: %v", err)
-	}
-	bad := Cluster{Node: XeonE31240(), Network: GigabitEthernet(), MaxNodes: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative MaxNodes accepted")
-	}
-}
-
-func TestDL980Bounds(t *testing.T) {
-	c := DL980()
-	if c.MaxNodes != 80 {
-		t.Errorf("DL980 MaxNodes = %d, want 80 (cores)", c.MaxNodes)
-	}
-	if !c.Network.SharedMemory {
-		t.Error("DL980 network should be shared memory")
 	}
 }

@@ -1,6 +1,6 @@
-// Package metrics implements the model-quality measures the paper reports,
-// chiefly the mean absolute percentage error (MAPE) between experimental and
-// predicted speedup curves, plus the usual companions (MAE, RMSE, R²).
+// Package metrics implements the model-quality measure the paper reports:
+// the mean absolute percentage error (MAPE) between experimental and
+// predicted speedup curves.
 package metrics
 
 import (
@@ -8,18 +8,13 @@ import (
 	"math"
 )
 
-// errLength is returned when two series cannot be compared pointwise.
-func errLength(actual, predicted int) error {
-	return fmt.Errorf("metrics: series length mismatch: actual %d, predicted %d", actual, predicted)
-}
-
 // MAPE returns the mean absolute percentage error of predicted against
 // actual, in percent: 100/n · Σ |aᵢ − pᵢ| / |aᵢ|. Points with aᵢ == 0 are
 // skipped (their percentage error is undefined); if every point is skipped
 // an error is returned.
 func MAPE(actual, predicted []float64) (float64, error) {
 	if len(actual) != len(predicted) {
-		return 0, errLength(len(actual), len(predicted))
+		return 0, fmt.Errorf("metrics: series length mismatch: actual %d, predicted %d", len(actual), len(predicted))
 	}
 	if len(actual) == 0 {
 		return 0, fmt.Errorf("metrics: MAPE of empty series")
@@ -36,102 +31,4 @@ func MAPE(actual, predicted []float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: MAPE undefined: all actual values are zero")
 	}
 	return 100 * sum / float64(used), nil
-}
-
-// MAE returns the mean absolute error of predicted against actual.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, errLength(len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, fmt.Errorf("metrics: MAE of empty series")
-	}
-	sum := 0.0
-	for i := range actual {
-		sum += math.Abs(actual[i] - predicted[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
-// RMSE returns the root mean squared error of predicted against actual.
-func RMSE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, errLength(len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, fmt.Errorf("metrics: RMSE of empty series")
-	}
-	sum := 0.0
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(actual))), nil
-}
-
-// MaxAPE returns the largest absolute percentage error, in percent, skipping
-// zero actual values like MAPE.
-func MaxAPE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, errLength(len(actual), len(predicted))
-	}
-	maxErr, used := 0.0, 0
-	for i := range actual {
-		if actual[i] == 0 {
-			continue
-		}
-		e := 100 * math.Abs(actual[i]-predicted[i]) / math.Abs(actual[i])
-		if e > maxErr {
-			maxErr = e
-		}
-		used++
-	}
-	if used == 0 {
-		return 0, fmt.Errorf("metrics: MaxAPE undefined")
-	}
-	return maxErr, nil
-}
-
-// R2 returns the coefficient of determination of predicted against actual.
-// A constant actual series yields an error (variance is zero).
-func R2(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, errLength(len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, fmt.Errorf("metrics: R2 of empty series")
-	}
-	mean := 0.0
-	for _, a := range actual {
-		mean += a
-	}
-	mean /= float64(len(actual))
-	ssRes, ssTot := 0.0, 0.0
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		ssRes += d * d
-		m := actual[i] - mean
-		ssTot += m * m
-	}
-	if ssTot == 0 {
-		return 0, fmt.Errorf("metrics: R2 undefined: actual series is constant")
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
-// RebaseTo rescales a series so that the point at index base becomes 1.
-// The paper's Fig. 3 plots speedup relative to 50 workers; rebasing both the
-// experimental and model series to the same point makes them comparable.
-func RebaseTo(series []float64, base int) ([]float64, error) {
-	if base < 0 || base >= len(series) {
-		return nil, fmt.Errorf("metrics: rebase index %d out of range [0,%d)", base, len(series))
-	}
-	if series[base] == 0 {
-		return nil, fmt.Errorf("metrics: rebase value at index %d is zero", base)
-	}
-	out := make([]float64, len(series))
-	for i, v := range series {
-		out[i] = v / series[base]
-	}
-	return out, nil
 }

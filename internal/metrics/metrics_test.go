@@ -38,33 +38,8 @@ func TestErrorsOnMismatchAndEmpty(t *testing.T) {
 	if _, err := MAPE([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("MAPE length mismatch accepted")
 	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Error("MAE of empty series accepted")
-	}
-	if _, err := RMSE([]float64{1}, []float64{}); err == nil {
-		t.Error("RMSE length mismatch accepted")
-	}
-	if _, err := R2(nil, nil); err == nil {
-		t.Error("R2 of empty series accepted")
-	}
-}
-
-func TestMAERMSE(t *testing.T) {
-	actual := []float64{1, 2, 3}
-	predicted := []float64{2, 2, 1}
-	mae, err := MAE(actual, predicted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(mae, 1) {
-		t.Errorf("MAE = %v, want 1", mae)
-	}
-	rmse, err := RMSE(actual, predicted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(rmse, math.Sqrt(5.0/3)) {
-		t.Errorf("RMSE = %v, want %v", rmse, math.Sqrt(5.0/3))
+	if _, err := MAPE(nil, nil); err == nil {
+		t.Error("MAPE of empty series accepted")
 	}
 }
 
@@ -73,52 +48,9 @@ func TestPerfectPrediction(t *testing.T) {
 	if m, _ := MAPE(series, series); !almost(m, 0) {
 		t.Errorf("MAPE of identical series = %v", m)
 	}
-	if m, _ := RMSE(series, series); !almost(m, 0) {
-		t.Errorf("RMSE of identical series = %v", m)
-	}
-	if r, _ := R2(series, series); !almost(r, 1) {
-		t.Errorf("R2 of identical series = %v", r)
-	}
 }
 
-func TestR2Constant(t *testing.T) {
-	if _, err := R2([]float64{2, 2, 2}, []float64{2, 2, 2}); err == nil {
-		t.Error("R2 of constant actual should fail")
-	}
-}
-
-func TestMaxAPE(t *testing.T) {
-	got, err := MaxAPE([]float64{1, 2, 4}, []float64{1.5, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(got, 50) {
-		t.Errorf("MaxAPE = %v, want 50", got)
-	}
-}
-
-func TestRebaseTo(t *testing.T) {
-	series := []float64{2, 4, 8}
-	got, err := RebaseTo(series, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, 1, 2}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Errorf("RebaseTo[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := RebaseTo(series, 3); err == nil {
-		t.Error("out-of-range base accepted")
-	}
-	if _, err := RebaseTo([]float64{0, 1}, 0); err == nil {
-		t.Error("zero base value accepted")
-	}
-}
-
-// Property: MAPE and MAE are non-negative, zero iff series equal (for
-// nonzero actual values).
+// Property: MAPE is non-negative for any series of nonzero actual values.
 func TestMetricProperties(t *testing.T) {
 	f := func(pairs []struct{ A, P float64 }) bool {
 		if len(pairs) == 0 {
@@ -136,19 +68,7 @@ func TestMetricProperties(t *testing.T) {
 			predicted[i] = math.Mod(pr, 1e6)
 		}
 		mape, err := MAPE(actual, predicted)
-		if err != nil {
-			return false
-		}
-		mae, err := MAE(actual, predicted)
-		if err != nil {
-			return false
-		}
-		rmse, err := RMSE(actual, predicted)
-		if err != nil {
-			return false
-		}
-		// RMSE dominates MAE for any series.
-		return mape >= 0 && mae >= 0 && rmse >= mae-1e-9
+		return err == nil && mape >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

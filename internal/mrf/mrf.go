@@ -171,34 +171,3 @@ func (m *MRF) BruteForceMarginals() ([][]float64, error) {
 	}
 	return marginals, nil
 }
-
-// Potts builds the S-state generalization of the Ising model: neighbors
-// agree with strength coupling (ψ(a,b) = exp(coupling·[a = b])) and the
-// field biases every vertex toward state 0 (φ_v(s) = exp(field·[s = 0])).
-func Potts(g *graph.Graph, states int, coupling, field float64) (*MRF, error) {
-	if states < 2 {
-		return nil, fmt.Errorf("mrf: potts: need ≥ 2 states, got %d", states)
-	}
-	nodePot := make([]float64, g.NumVertices()*states)
-	for v := 0; v < g.NumVertices(); v++ {
-		for s := 0; s < states; s++ {
-			if s == 0 {
-				nodePot[v*states+s] = math.Exp(field)
-			} else {
-				nodePot[v*states+s] = 1
-			}
-		}
-	}
-	edgePot := make([]float64, states*states)
-	agree := math.Exp(coupling)
-	for a := 0; a < states; a++ {
-		for b := 0; b < states; b++ {
-			if a == b {
-				edgePot[a*states+b] = agree
-			} else {
-				edgePot[a*states+b] = 1
-			}
-		}
-	}
-	return New(g, states, nodePot, edgePot)
-}

@@ -20,7 +20,6 @@ import (
 	"slices"
 
 	"dmlscale/internal/core"
-	"dmlscale/internal/graph"
 	"dmlscale/internal/memo"
 	"dmlscale/internal/obs"
 )
@@ -82,40 +81,6 @@ func Random(vertices, workers int, seed int64) (Assignment, error) {
 	owner := make([]int32, vertices)
 	for v := range owner {
 		owner[v] = int32(bounded(state.next(), workers))
-	}
-	return Assignment{Workers: workers, Owner: owner}, nil
-}
-
-// RoundRobin assigns vertex v to worker v mod n.
-func RoundRobin(vertices, workers int) (Assignment, error) {
-	if err := checkSizes(vertices, workers); err != nil {
-		return Assignment{}, err
-	}
-	owner := make([]int32, vertices)
-	for v := range owner {
-		owner[v] = int32(v % workers)
-	}
-	return Assignment{Workers: workers, Owner: owner}, nil
-}
-
-// BlockRange assigns contiguous vertex ranges of near-equal size.
-func BlockRange(vertices, workers int) (Assignment, error) {
-	if err := checkSizes(vertices, workers); err != nil {
-		return Assignment{}, err
-	}
-	owner := make([]int32, vertices)
-	base := vertices / workers
-	extra := vertices % workers
-	v := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < extra {
-			size++
-		}
-		for i := 0; i < size; i++ {
-			owner[v] = int32(w)
-			v++
-		}
 	}
 	return Assignment{Workers: workers, Owner: owner}, nil
 }
@@ -538,32 +503,4 @@ func (t *cutCells) pass(state rng, degrees []int32, sums, loads []int64) {
 			prev = 0 // a worker count's last slot; the next starts at 0
 		}
 	}
-}
-
-// ReplicationFactor returns r, the average number of remote workers that
-// need each vertex's value: the count of (vertex, worker) pairs where the
-// worker hosts a neighbor but not the vertex itself, divided by V. The
-// paper's linear-communication BP model charges 32/B · r·V·S.
-func ReplicationFactor(g *graph.Graph, a Assignment) (float64, error) {
-	if g.NumVertices() != len(a.Owner) {
-		return 0, fmt.Errorf("partition: graph has %d vertices, assignment %d", g.NumVertices(), len(a.Owner))
-	}
-	if err := a.Validate(); err != nil {
-		return 0, err
-	}
-	var replicas int64
-	seen := make([]int, a.Workers) // stamped per vertex to dedup workers
-	stamp := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		stamp++
-		own := a.Owner[v]
-		for _, w := range g.Neighbors(v) {
-			nw := a.Owner[w]
-			if nw != own && seen[nw] != stamp {
-				seen[nw] = stamp
-				replicas++
-			}
-		}
-	}
-	return float64(replicas) / float64(g.NumVertices()), nil
 }

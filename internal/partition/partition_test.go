@@ -48,39 +48,11 @@ func TestRandomAssignment(t *testing.T) {
 	}
 }
 
-func TestRoundRobinAndBlock(t *testing.T) {
-	rr, err := RoundRobin(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Owner[0] != 0 || rr.Owner[1] != 1 || rr.Owner[3] != 0 {
-		t.Errorf("round robin owners = %v", rr.Owner)
-	}
-	br, err := BlockRange(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sizes 4, 3, 3.
-	counts := make([]int, 3)
-	for _, w := range br.Owner {
-		counts[w]++
-	}
-	if counts[0] != 4 || counts[1] != 3 || counts[2] != 3 {
-		t.Errorf("block sizes = %v", counts)
-	}
-	// Contiguity.
-	for i := 1; i < 10; i++ {
-		if br.Owner[i] < br.Owner[i-1] {
-			t.Error("block assignment not contiguous")
-		}
-	}
-}
-
 func TestSizeErrors(t *testing.T) {
 	if _, err := Random(0, 3, 1); err == nil {
 		t.Error("zero vertices accepted")
 	}
-	if _, err := RoundRobin(5, 0); err == nil {
+	if _, err := Random(5, 0, 1); err == nil {
 		t.Error("zero workers accepted")
 	}
 	if _, err := GreedyByDegree(nil, 2); err == nil {
@@ -528,54 +500,6 @@ func TestMonteCarloBatchAllocs(t *testing.T) {
 		if allocs > tc.pin {
 			t.Errorf("parallelism %d: batched kernel allocated %.0f objects per call, pinned at %.0f",
 				tc.parallelism, allocs, tc.pin)
-		}
-	}
-}
-
-func TestReplicationFactor(t *testing.T) {
-	// 4-cycle, half/half: vertices 1 and 2 are each needed remotely once,
-	// as are 0 and 3 → 4 replicas / 4 vertices = 1.
-	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Assignment{Workers: 2, Owner: []int32{0, 0, 1, 1}}
-	r, err := ReplicationFactor(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-1) > 1e-12 {
-		t.Errorf("replication factor = %v, want 1", r)
-	}
-	// All on one worker: no replicas.
-	single := Assignment{Workers: 1, Owner: []int32{0, 0, 0, 0}}
-	r, err = ReplicationFactor(g, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("single-worker replication factor = %v, want 0", r)
-	}
-}
-
-func TestReplicationFactorBounds(t *testing.T) {
-	// Property: 0 ≤ r ≤ min(degree, workers−1) averaged — specifically
-	// r ≤ workers−1 always.
-	g, err := graph.Grid2D(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		a, err := Random(g.NumVertices(), workers, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ReplicationFactor(g, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r < 0 || r > float64(workers-1) {
-			t.Errorf("workers=%d: replication factor %v out of bounds", workers, r)
 		}
 	}
 }

@@ -138,9 +138,6 @@ type Report struct {
 	Suite string
 	// Objective is the ranking objective the report used.
 	Objective Objective
-	// Degraded marks a kernel-free report (PlanSuiteDegradedCtx): every
-	// plan is an optimistic bound estimate, not a recommendation.
-	Degraded bool
 	// Plans holds one plan per expanded scenario, in rank order:
 	// convergence-aware plans first, then per-iteration fallbacks, then
 	// failures, each tier sorted by the objective with name as the final
@@ -420,7 +417,6 @@ func (r Report) Export() scenario.PlanReport {
 	out := scenario.PlanReport{
 		Suite:     r.Suite,
 		Objective: string(r.Objective),
-		Degraded:  r.Degraded,
 		Plans:     make([]scenario.PlanRecord, len(r.Plans)),
 	}
 	for i, p := range r.Plans {

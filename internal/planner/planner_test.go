@@ -76,6 +76,22 @@ func TestPlanScenarioConvergenceAware(t *testing.T) {
 	}
 }
 
+// TestPlanScenarioAllocs pins the allocations of one closed-form planner
+// cell: model build, 64-point curve and optimum search take 4, with or
+// without the race detector.
+func TestPlanScenarioAllocs(t *testing.T) {
+	sc := weakScenario("aware", tree(1e9),
+		&scenario.ConvergenceSpec{Rule: "sqrt", BaseIterations: 10000}, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PlanScenario(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("one planner cell allocated %.0f objects, pinned at 4", allocs)
+	}
+}
+
 // TestFlatCurveRecommendsOneWorker: with free communication and a rule that
 // caps the statistical benefit at kc = 1, time-to-accuracy is flat in n —
 // there is no interior optimum, and the planner must not invent one.

@@ -1,11 +1,13 @@
 // Package resilience is the fault-recovery layer of the evaluation spine:
-// a transient-error marker and the retry policy of the Monte-Carlo kernel
-// fill (internal/registry), the one place transient errors arise. The
-// policy retries with capped exponential backoff and deterministic jitter,
-// inside the fill's single flight, so every caller waiting on the same
-// estimate shares one set of retries, for sweeps and plans alike, and a
-// shared process budget keeps a storm of failing kernels from amplifying
-// load.
+// a transient-error marker, and the retry policy and circuit breaker of
+// the Monte-Carlo kernel fill (internal/registry), the one place transient
+// errors arise. The policy retries with capped exponential backoff and
+// deterministic jitter, inside the fill's single flight, so every caller
+// waiting on the same estimate shares one set of retries, for sweeps and
+// plans alike, and a shared process budget keeps a storm of failing
+// kernels from amplifying load. The breaker, when the context carries one
+// (WithBreaker), fails fills fast while the kernel keeps failing; every
+// cell that needs no fill answers as usual.
 package resilience
 
 import (
@@ -20,6 +22,12 @@ import (
 // {Transient: true}) produces transient errors; everything else in this
 // module is deterministic, so unmarked errors default to permanent.
 var Transient = errors.New("resilience: transient fault")
+
+// ErrKernelUnavailable is what a kernel fill returns, without attempting
+// the kernel, while the circuit breaker its context carries is open. It is
+// permanent, so nothing retries it: the cell that needed the fill fails
+// with it, and cells that need no fill answer as usual.
+var ErrKernelUnavailable = errors.New("resilience: kernel unavailable: circuit breaker open")
 
 // transientError marks its cause as transient while preserving the chain.
 type transientError struct{ err error }

@@ -99,14 +99,47 @@ func backoff(key uint64, attempt int) time.Duration {
 	return time.Duration(d * (1 - jitter + 2*jitter*u))
 }
 
-// Do runs op under the policy: a transient failure backs off and retries
-// while the caller's context is live, the attempt cap is not reached and
-// the budget grants a token; each granted retry counts in TotalRetries,
-// and each success credits the budget. key decorrelates the jitter of
+// Do runs op under the policy and the context's breaker (WithBreaker).
+// While the breaker is open it returns ErrKernelUnavailable without
+// running op. Otherwise a transient failure backs off and retries while
+// the caller's context is live, the attempt cap is not reached and the
+// budget grants a token; each granted retry counts in TotalRetries, and
+// each success credits the budget. key decorrelates the jitter of
 // concurrent retries. The returned error is the last attempt's, except
 // that a caller-side cancellation during backoff returns the context's
 // error.
+//
+// The outcome feeds the breaker: a success counts for the kernel, a
+// transient failure the retries could not absorb counts against it, and a
+// cancellation, a permanent error or a panic in op counts for neither, so
+// input errors and expired deadlines cannot trip the breaker, and a
+// half-open probe slot is released rather than wedged.
 func (p Policy) Do(ctx context.Context, key uint64, op func() error) error {
+	b := breakerFrom(ctx)
+	if !b.Allow() {
+		return ErrKernelUnavailable
+	}
+	judged := false
+	defer func() {
+		if !judged {
+			b.Cancel() // op panicked
+		}
+	}()
+	err := p.retry(ctx, key, op)
+	judged = true
+	switch {
+	case err == nil:
+		b.Record(true)
+	case IsTransient(err):
+		b.Record(false)
+	default:
+		b.Cancel()
+	}
+	return err
+}
+
+// retry is Do's attempt loop, without the breaker.
+func (p Policy) retry(ctx context.Context, key uint64, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {

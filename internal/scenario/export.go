@@ -160,15 +160,9 @@ type PlanRecord struct {
 // PlanReport is the JSON document WritePlansJSON emits: suite name,
 // objective, and one record per scenario in rank order.
 type PlanReport struct {
-	Suite     string `json:"suite"`
-	Objective string `json:"objective"`
-	// Degraded marks a report produced without the Monte-Carlo kernel —
-	// the serving layer's circuit breaker was open and every plan is a
-	// registry bound-model estimate (optimistic, kernel-free), explained
-	// per-plan in Notice. Consumers must treat the numbers as lower
-	// bounds, not recommendations.
-	Degraded bool         `json:"degraded,omitempty"`
-	Plans    []PlanRecord `json:"plans"`
+	Suite     string       `json:"suite"`
+	Objective string       `json:"objective"`
+	Plans     []PlanRecord `json:"plans"`
 }
 
 // WritePlansJSON writes a planner report as one indented JSON document.

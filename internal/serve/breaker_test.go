@@ -2,184 +2,223 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
-	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
-	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dmlscale/internal/planner"
 	"dmlscale/internal/registry"
+	"dmlscale/internal/resilience"
 	"dmlscale/internal/scenario"
 )
 
-// TestBreakerStateMachine drives one breaker through its whole lifecycle
-// with an injected clock: closed under mixed traffic, tripped by a failure
-// burst, open denies, half-open admits exactly one probe, probe failure
-// re-opens, probe success closes, and Cancel releases the probe slot
-// without judging the service.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 3, FailureRatio: 0.5, OpenFor: time.Second}, clock)
+// TestBreakerDegradedServing forces the kernel circuit breaker open and
+// proves its contract end to end: /healthz reports "degraded" at 200
+// (alive, do not restart); kernel-free requests, and graph requests whose
+// estimates are cached, answer byte-identically to the closed breaker's on
+// both routes; a cold graph cell fails fast with the typed kernel error;
+// and once the open period lapses, one clean probe fill closes the breaker.
+func TestBreakerDegradedServing(t *testing.T) {
+	const openFor = 500 * time.Millisecond // outlasts the open-state checks
+	s, ts := newTestServer(t, Config{BreakerOpenFor: openFor})
+	warm := graphSuite(freshSeed())
+	cold := graphSuite(freshSeed())
+	requests := []struct{ path, suite string }{
+		{"/v1/plan", planSuiteJSON},
+		{"/v1/sweep", sweepSuiteJSON},
+		{"/v1/plan", warm},
+		{"/v1/sweep", warm},
+	}
+	closed := make([][]byte, len(requests))
+	for i, rq := range requests {
+		status, body, _ := post(t, ts, rq.path, `{"suite": `+rq.suite+`}`)
+		if status != 200 {
+			t.Fatalf("closed %s %d: status %d: %s", rq.path, i, status, body)
+		}
+		closed[i] = body
+	}
 
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("initial state = %d, want closed", st)
+	s.breaker.ForceOpen()
+	opened := time.Now()
+	if got := healthz(t, ts); got != "degraded\n" {
+		t.Fatalf("healthz while open = %q, want 200 \"degraded\"", got)
 	}
-	// One failure among successes stays closed (ratio 1/3 < 0.5).
-	b.Record(true)
-	b.Record(false)
-	b.Record(true)
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatalf("breaker tripped below its failure ratio")
+	for i, rq := range requests {
+		status, body, _ := post(t, ts, rq.path, `{"suite": `+rq.suite+`}`)
+		if status != 200 || !bytes.Equal(body, closed[i]) {
+			t.Fatalf("open %s %d: status %d, not byte-identical to the closed breaker's:\nopen: %s\nclosed: %s", rq.path, i, status, body, closed[i])
+		}
 	}
-	// One more failure trips it: window [ok fail ok fail] = 2/4 ≥ 0.5.
-	b.Record(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after burst = %d, want open", b.State())
+	for _, path := range []string{"/v1/sweep", "/v1/plan"} {
+		status, body, _ := post(t, ts, path, `{"suite": `+cold+`}`)
+		if status != 200 || !bytes.Contains(body, []byte(resilience.ErrKernelUnavailable.Error())) {
+			t.Fatalf("open %s, cold graph: status %d, want 200 with the kernel-unavailable cell: %s", path, status, body)
+		}
 	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a request")
+
+	// Recovery: the open period lapses, and the next cold fill is the
+	// probe; it succeeds and closes the breaker.
+	time.Sleep(time.Until(opened.Add(openFor + 10*time.Millisecond)))
+	status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+cold+`}`)
+	if status != 200 || bytes.Contains(body, []byte(`"error"`)) {
+		t.Fatalf("probe sweep: status %d: %s", status, body)
 	}
-	// Open period lapses: exactly one probe is admitted.
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("half-open breaker denied the probe")
+	if got := healthz(t, ts); got != "ok\n" {
+		t.Fatalf("healthz after recovery = %q, want 200 \"ok\"", got)
 	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// A cancelled probe releases the slot without closing or re-opening.
-	b.Cancel()
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after cancelled probe = %d, want half-open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("probe slot not released by Cancel")
-	}
-	// Probe failure re-opens for another full period.
-	b.Record(false)
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe denied")
-	}
-	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %d, want closed", b.State())
-	}
-	// The window restarted clean: the pre-trip failures are forgotten.
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatal("stale window survived recovery")
+	if st := s.breaker.State(); st != resilience.BreakerClosed {
+		t.Fatalf("breaker state after recovery = %d, want closed", st)
 	}
 }
 
-// TestBreakerDegradedServing forces the kernel circuit breakers open and
-// proves the degraded contract end to end: /v1/plan answers 200 with a
-// well-formed "degraded": true bound-model document, /v1/sweep sheds 503
-// with a positive-integer Retry-After, /healthz reports "degraded" at 200
-// (alive, do not restart) — and once the open period lapses, one clean
-// probe heals everything back to byte-identical full-fidelity serving.
-func TestBreakerDegradedServing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Breaker: BreakerConfig{OpenFor: 30 * time.Millisecond}})
-
-	// Baseline: full-fidelity plan while healthy.
-	status, healthy, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`)
-	if status != 200 {
-		t.Fatalf("healthy plan: status %d", status)
-	}
-
-	s.BreakerFor("sweep").ForceOpen()
-	s.BreakerFor("plan").ForceOpen()
-
-	// Healthz: degraded, but 200 — the process must not be restarted.
+// healthz returns /healthz's body, failing unless it answered 200.
+func healthz(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || string(body) != "degraded\n" {
-		t.Fatalf("healthz while open = %d %q, want 200 \"degraded\"", resp.StatusCode, body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("healthz: status %d: %s", resp.StatusCode, body)
 	}
+	return string(body)
+}
 
-	// Plans degrade to bound estimates instead of failing.
-	status, degraded, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`)
-	if status != 200 {
-		t.Fatalf("degraded plan: status %d: %s", status, degraded)
+// TestBreakerOpenExampleSuites serves every examples/suites document on
+// both routes with the breaker open. With cold caches, only the graph
+// cells change: each carries resilience.ErrKernelUnavailable (errors.Is in
+// Go, "kernel unavailable" on the wire), while every other cell's record is
+// identical to the closed breaker's, apart from a plan row's rank, which
+// moves because failed cells rank last. With warm caches every document is
+// byte-identical.
+func TestBreakerOpenExampleSuites(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/suites/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example suites: %v", err)
 	}
-	var report scenario.PlanReport
-	if err := json.Unmarshal(degraded, &report); err != nil {
-		t.Fatalf("degraded plan: bad body: %v", err)
-	}
-	if !report.Degraded {
-		t.Fatalf("degraded plan not marked: %s", degraded)
-	}
-	if len(report.Plans) == 0 {
-		t.Fatal("degraded plan carries no plans")
-	}
-	for _, p := range report.Plans {
-		if p.Error != "" {
-			t.Fatalf("degraded plan for %q errored: %s", p.Scenario, p.Error)
+	openServer, closedServer := New(Config{BreakerOpenFor: time.Hour}), New(Config{})
+	openServer.breaker.ForceOpen()
+	defer openServer.Close()
+	defer closedServer.Close()
+	serveAll := func(s *Server) map[string][]byte {
+		docs := map[string][]byte{}
+		for _, path := range paths {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, route := range []string{"sweep", "plan"} {
+				rec := httptest.NewRecorder()
+				req := httptest.NewRequest("POST", "/v1/"+route, strings.NewReader(`{"suite": `+string(raw)+`}`))
+				s.Handler().ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					t.Fatalf("%s %s: status %d: %s", route, path, rec.Code, rec.Body)
+				}
+				docs[route+" "+filepath.Base(path)] = rec.Body.Bytes()
+			}
 		}
-		if !p.Pruned || p.BoundTimeSeconds <= 0 {
-			t.Fatalf("degraded plan for %q is not a bound estimate: %+v", p.Scenario, p)
+		return docs
+	}
+
+	registry.ResetCaches()
+	defer registry.ResetCaches()
+	ctx := resilience.WithBreaker(context.Background(), openServer.breaker)
+	graphCells := 0
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Notice == "" {
-			t.Fatalf("degraded plan for %q carries no explanatory notice", p.Scenario)
+		suite, err := scenario.DecodeSuite(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, _, err := scenario.EvaluateSuiteStatsCtx(ctx, suite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _, err := planner.PlanSuiteCtx(ctx, suite, "", 0, planner.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != nil && !errors.Is(r.Err, resilience.ErrKernelUnavailable) {
+				t.Errorf("sweep %s: %q failed with %v, want nil or ErrKernelUnavailable", path, r.Scenario.Name, r.Err)
+			}
+		}
+		for _, p := range report.Plans {
+			if p.Err != nil {
+				if !errors.Is(p.Err, resilience.ErrKernelUnavailable) {
+					t.Errorf("plan %s: %q failed with %v, want nil or ErrKernelUnavailable", path, p.Scenario.Name, p.Err)
+				}
+				graphCells++
+			}
 		}
 	}
-
-	// Sweeps have no kernel-free fallback: shed with a retry hint.
-	status, _, hdr := post(t, ts, "/v1/sweep", `{"suite": `+sweepSuiteJSON+`}`)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("degraded sweep: status %d, want 503", status)
-	}
-	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || secs < 1 {
-		t.Fatalf("degraded sweep Retry-After = %q, want positive integer", hdr.Get("Retry-After"))
+	if graphCells != 3 {
+		t.Fatalf("%d plan cells carry ErrKernelUnavailable, want the 3 graph cells", graphCells)
 	}
 
-	if s.degradedPlans.Value() == 0 || s.degradedShed.Value() == 0 {
-		t.Fatalf("degraded counters = plans %d shed %d, want both positive", s.degradedPlans.Value(), s.degradedShed.Value())
+	registry.ResetCaches()
+	coldOpen := serveAll(openServer)
+	closed := serveAll(closedServer)
+	warmOpen := serveAll(openServer)
+	unavailable := 0
+	for name, want := range closed {
+		if !bytes.Equal(warmOpen[name], want) {
+			t.Errorf("%s: warm caches, open breaker: not byte-identical to the closed breaker's", name)
+		}
+		var got, ref struct {
+			Results []map[string]any `json:"results"`
+			Plans   []map[string]any `json:"plans"`
+		}
+		if err := json.Unmarshal(coldOpen[name], &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &ref); err != nil {
+			t.Fatal(err)
+		}
+		refCells := map[any]map[string]any{}
+		for _, c := range append(ref.Results, ref.Plans...) {
+			refCells[c["scenario"]] = c
+		}
+		for _, c := range append(got.Results, got.Plans...) {
+			if e, _ := c["error"].(string); strings.Contains(e, "kernel unavailable") {
+				unavailable++
+				continue
+			}
+			want := refCells[c["scenario"]]
+			delete(c, "rank")
+			delete(want, "rank")
+			if !reflect.DeepEqual(c, want) {
+				t.Errorf("%s: cold caches, open breaker: cell %q differs:\nopen: %v\nclosed: %v", name, c["scenario"], c, want)
+			}
+		}
+		if strings.Contains(name, "fig2") && !bytes.Equal(coldOpen[name], want) {
+			t.Errorf("%s: kernel-free suite not byte-identical with the breaker open", name)
+		}
 	}
-
-	// Recovery: the open period lapses, the next requests probe, succeed,
-	// and close both breakers.
-	time.Sleep(50 * time.Millisecond)
-	status, recovered, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`)
-	if status != 200 {
-		t.Fatalf("recovery plan: status %d", status)
-	}
-	if !bytes.Equal(recovered, healthy) {
-		t.Fatalf("recovered plan differs from pre-trip plan:\nafter: %s\nbefore: %s", recovered, healthy)
-	}
-	if status, _, _ := post(t, ts, "/v1/sweep", `{"suite": `+sweepSuiteJSON+`}`); status != 200 {
-		t.Fatalf("recovery sweep: status %d", status)
-	}
-	resp, err = ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || string(body) != "ok\n" {
-		t.Fatalf("healthz after recovery = %d %q, want 200 \"ok\"", resp.StatusCode, body)
-	}
-	if sw, pl := s.breakerSweep.State(), s.breakerPlan.State(); sw != BreakerClosed || pl != BreakerClosed {
-		t.Fatalf("breaker states after recovery = %d/%d, want closed/closed", sw, pl)
+	if unavailable != 6 {
+		t.Fatalf("%d cells say kernel unavailable on the wire, want the 3 graph cells on both routes", unavailable)
 	}
 }
 
 // TestChaosTransientRetry injects fail-twice-then-succeed transient kernel
 // faults under a concurrent request storm: the retry layer must absorb
-// every fault (all responses 200 with zero scenario errors), the breakers
+// every fault (all responses 200 with zero scenario errors), the breaker
 // must stay closed (no request-level failure ever surfaces), the retry
 // counter must show the absorbed work, and nothing may strand a budget
 // slot or leak a goroutine.
@@ -236,8 +275,8 @@ func TestChaosTransientRetry(t *testing.T) {
 	if s.retries.Value() == 0 {
 		t.Fatal("retries_total = 0; the storm must have retried")
 	}
-	if sw, pl := s.breakerSweep.State(), s.breakerPlan.State(); sw != BreakerClosed || pl != BreakerClosed {
-		t.Fatalf("breaker states = %d/%d; absorbed faults must not trip them", sw, pl)
+	if st := s.breaker.State(); st != resilience.BreakerClosed {
+		t.Fatalf("breaker state = %d; absorbed faults must not trip it", st)
 	}
 
 	// Faults off: the same grids answer byte-identically — the retried
@@ -274,9 +313,9 @@ func TestChaosTransientRetry(t *testing.T) {
 
 // TestBreakerIgnoresClientInputErrors: a cell that fails deterministically
 // (here an unknown protocol kind, which decodes but cannot evaluate) is the
-// client's input, not kernel trouble. Five such requests per route must
-// leave both breakers closed, so the next valid sweep answers 200 and the
-// next valid plan is full fidelity rather than degraded.
+// client's input, not kernel trouble, and never reaches a kernel fill. Five
+// such requests per route must leave the breaker closed, so the next valid
+// sweep and plan answer in full.
 func TestBreakerIgnoresClientInputErrors(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	const warp = `{"name": "warp", "scenarios": [{"name": "warp", "workload": {"flops_per_example": 1e6, "batch_size": 10, "parameters": 100},
@@ -289,16 +328,15 @@ func TestBreakerIgnoresClientInputErrors(t *testing.T) {
 				t.Fatalf("%s %d: status %d, want 200 with the cell's error: %s", route, i, status, body)
 			}
 		}
-		if st := s.BreakerFor(route).State(); st != BreakerClosed {
-			t.Fatalf("%s breaker state %d after client input errors, want closed", route, st)
-		}
+	}
+	if st := s.breaker.State(); st != resilience.BreakerClosed {
+		t.Fatalf("breaker state %d after client input errors, want closed", st)
 	}
 	if status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+sweepSuiteJSON+`}`); status != 200 {
 		t.Fatalf("valid sweep after bad input: status %d: %s", status, body)
 	}
-	status, body, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`)
-	if status != 200 || bytes.Contains(body, []byte(`"degraded"`)) {
-		t.Fatalf("valid plan after bad input: status %d, want full fidelity: %s", status, body)
+	if status, body, _ := post(t, ts, "/v1/plan", `{"suite": `+planSuiteJSON+`}`); status != 200 || bytes.Contains(body, []byte(`"error"`)) {
+		t.Fatalf("valid plan after bad input: status %d, want every cell answered: %s", status, body)
 	}
 }
 

@@ -78,9 +78,12 @@ func TestChaosFaultInjection(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Injected errors and panics are permanent, so they must never trip
-	// the kernel circuit breaker: an open breaker would answer the
-	// post-chaos plans degraded, and the graph cells would carry errors.
-	s := New(Config{MaxInFlight: 16, DefaultDeadline: 10 * time.Second})
+	// the kernel circuit breaker: an open breaker would fail the
+	// post-chaos plans' kernel fills, and their graph cells would carry
+	// errors. Admission is TestShedUnderLoad's subject: here every request
+	// of the storm gets a slot, so none may be shed with 429.
+	const n = 20
+	s := New(Config{MaxInFlight: n, DefaultDeadline: 10 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 
 	var calls int64
@@ -106,7 +109,6 @@ func TestChaosFaultInjection(t *testing.T) {
 	// Concurrent request storm, parallelism 4 per request: a mix of plans
 	// and sweeps, some under a deadline that expires mid-kernel, some whose
 	// client walks away.
-	const n = 20
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
 	clientErrs := make([]error, n)

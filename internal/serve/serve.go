@@ -20,6 +20,12 @@
 //     the server keeps serving.
 //   - Graceful drain: Run stops accepting, lets in-flight requests finish
 //     for DrainTimeout, then cancels their contexts and closes.
+//   - Kernel circuit breaker: every request context carries the server's
+//     one breaker (resilience.WithBreaker), which guards the Monte-Carlo
+//     kernel fill. While it is open only fills fail, fast and with
+//     resilience.ErrKernelUnavailable in the cell that needed them; every
+//     other cell, and every graph cell whose estimates are cached, answers
+//     exactly as with the breaker closed.
 package serve
 
 import (
@@ -69,9 +75,9 @@ type Config struct {
 	// phase breakdown (build/sample/plan/kernel time). Writes are
 	// serialized; nil disables access logging.
 	AccessLog io.Writer
-	// Breaker sizes the per-route kernel circuit breakers; zero-value
-	// fields take BreakerConfig's defaults.
-	Breaker BreakerConfig
+	// BreakerOpenFor is how long the kernel circuit breaker stays open
+	// before admitting a half-open probe fill; default 15s.
+	BreakerOpenFor time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -93,6 +99,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
+	}
+	if c.BreakerOpenFor <= 0 {
+		c.BreakerOpenFor = 15 * time.Second
 	}
 	return c
 }
@@ -127,14 +136,10 @@ type Server struct {
 	clientGone      *obs.Counter
 	panics          *obs.Counter
 	retries         *obs.Counter
-	degradedPlans   *obs.Counter
-	degradedShed    *obs.Counter
 	inFlight        atomic.Int64
 
-	// breakerSweep/breakerPlan gate each route's kernel-backed path; while
-	// open, /v1/plan degrades to bound-model answers and /v1/sweep sheds.
-	breakerSweep *Breaker
-	breakerPlan  *Breaker
+	// breaker guards the kernel fills of every request (requestCtx).
+	breaker *resilience.Breaker
 
 	// coal single-flights identical in-flight /v1/sweep and /v1/plan
 	// requests: followers replay the leader's 200 instead of re-evaluating.
@@ -164,8 +169,7 @@ func New(cfg Config) *Server {
 		accessLog: cfg.AccessLog,
 		mux:       http.NewServeMux(),
 	}
-	s.breakerSweep = NewBreaker(cfg.Breaker, nil)
-	s.breakerPlan = NewBreaker(cfg.Breaker, nil)
+	s.breaker = resilience.NewBreaker(cfg.BreakerOpenFor, nil)
 	s.coal.inflight = make(map[string]*coalesceEntry)
 	s.registerMetrics()
 	s.mux.Handle("POST /v1/sweep", s.contained("sweep", s.coalesce("sweep", s.handleSweep)))
@@ -190,8 +194,6 @@ func (s *Server) registerMetrics() {
 	s.clientGone = s.set.NewCounter("dmls_client_gone_total", "Evaluations cancelled by client disconnect or drain hard-stop.")
 	s.panics = s.set.NewCounter("dmls_panics_total", "Requests that panicked and were contained as 500s.")
 	s.retries = s.set.NewCounter("dmls_retries_total", "Transient-fault retries of kernel computations performed on behalf of served requests.")
-	s.degradedPlans = s.set.NewCounter("dmls_degraded_plans_total", "Plan requests answered in degraded kernel-free bound mode while the breaker was open.")
-	s.degradedShed = s.set.NewCounter("dmls_degraded_shed_total", "Sweep requests shed 503 because the kernel circuit breaker was open.")
 
 	dur := "Evaluation request wall time in seconds, by route."
 	s.durSweep = s.set.NewHistogram("dmls_request_duration_seconds", dur, obs.DurationBuckets(), obs.Label{Key: "route", Value: "sweep"})
@@ -201,9 +203,7 @@ func (s *Server) registerMetrics() {
 	s.cellsPlan = s.set.NewHistogram("dmls_request_cells", cells, obs.CountBuckets(), obs.Label{Key: "route", Value: "plan"})
 
 	s.set.NewGauge("dmls_in_flight", "Evaluation requests currently executing.", func() float64 { return float64(s.inFlight.Load()) })
-	breakerState := "Kernel circuit breaker state by route: 0 closed, 1 open, 2 half-open."
-	s.set.NewGauge("dmls_breaker_state", breakerState, func() float64 { return float64(s.breakerSweep.State()) }, obs.Label{Key: "route", Value: "sweep"})
-	s.set.NewGauge("dmls_breaker_state", breakerState, func() float64 { return float64(s.breakerPlan.State()) }, obs.Label{Key: "route", Value: "plan"})
+	s.set.NewGauge("dmls_breaker_state", "Kernel circuit breaker state: 0 closed, 1 open, 2 half-open.", func() float64 { return float64(s.breaker.State()) })
 	s.set.NewGauge("dmls_draining", "1 once graceful shutdown has begun, else 0.", func() float64 {
 		if s.draining.Load() {
 			return 1
@@ -231,19 +231,6 @@ func (s *Server) Handler() http.Handler {
 // it directly.
 func (s *Server) Close() {
 	s.cancel()
-}
-
-// BreakerFor returns the route's kernel circuit breaker ("sweep" or
-// "plan") — the handle chaos drills and tests use to force or inspect
-// state. Nil for unknown routes.
-func (s *Server) BreakerFor(route string) *Breaker {
-	switch route {
-	case "sweep":
-		return s.breakerSweep
-	case "plan":
-		return s.breakerPlan
-	}
-	return nil
 }
 
 // retryAfter derives the Retry-After value for a shed response from the
@@ -509,13 +496,14 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 
 // requestCtx derives the evaluation context: the request's context (itself
 // parented on the server's base context, so drain hard-stop and client
-// disconnect both propagate) bounded by the effective deadline.
+// disconnect both propagate) carrying the kernel breaker, bounded by the
+// effective deadline.
 func (s *Server) requestCtx(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if deadline > 0 {
 		d = min(deadline, s.cfg.MaxDeadline)
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(resilience.WithBreaker(r.Context(), s.breaker), d)
 }
 
 // evalFailure maps an engine-returned context error onto the wire: 504 for
@@ -538,29 +526,6 @@ func (s *Server) evalFailure(w http.ResponseWriter, r *http.Request, err error) 
 		return true
 	}
 	return false
-}
-
-// recordCells feeds one finished evaluation to its route's breaker. Only a
-// cell that failed with a transient error (resilience.IsTransient) speaks
-// against kernel health; every unmarked error is deterministic — usually the
-// client's own input, like an unknown protocol kind — so a request whose
-// failures are all permanent neither trips nor heals the breaker.
-func recordCells[T any](b *Breaker, cells []T, errOf func(T) error) {
-	failed := false
-	for _, c := range cells {
-		if err := errOf(c); err != nil {
-			if resilience.IsTransient(err) {
-				b.Record(false)
-				return
-			}
-			failed = true
-		}
-	}
-	if failed {
-		b.Cancel()
-		return
-	}
-	b.Record(true)
 }
 
 // decodeRequest strictly decodes a request body into dst, rejecting unknown
@@ -638,24 +603,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
 	}
-	if !s.breakerSweep.Allow() {
-		// Sweeps have no kernel-free answer: shed with a hint, unlike
-		// /v1/plan which degrades to bound estimates.
-		s.degradedShed.Inc()
-		w.Header().Set("Retry-After", s.retryAfter("sweep"))
-		writeError(w, http.StatusServiceUnavailable, "kernel circuit breaker open; sweep unavailable, retry later")
-		return
-	}
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
 	results, st, err := scenario.EvaluateSuiteStatsCtx(ctx, suite, req.Parallelism)
 	noteStats(r, st)
-	if err != nil {
-		// Cancellation and deadline expiry say nothing about kernel health.
-		s.breakerSweep.Cancel()
-	} else {
-		recordCells(s.breakerSweep, results, func(r scenario.Result) error { return r.Err })
-	}
 	if s.evalFailure(w, r, err) {
 		return
 	}
@@ -770,19 +721,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	if !s.breakerPlan.Allow() {
-		s.servePlanDegraded(ctx, w, r, suite, obj, req.Parallelism)
-		return
-	}
 	report, st, err := planner.PlanSuiteCtx(ctx, suite, obj, req.Parallelism, opts)
 	noteStats(r, st)
-	if err != nil {
-		// Cancellation, deadline expiry and suite-shape errors say nothing
-		// about kernel health.
-		s.breakerPlan.Cancel()
-	} else {
-		recordCells(s.breakerPlan, report.Plans, func(p planner.Plan) error { return p.Err })
-	}
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		// Suite-shape errors the cap check could not see (bad objective in
 		// the suite file, negative refine) are the client's.
@@ -793,32 +733,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.evalFailure(w, r, err) {
 		return
 	}
-	s.plans.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode plans: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
-}
-
-// servePlanDegraded answers /v1/plan while the kernel circuit breaker is
-// open: a kernel-free pass over the suite's registry bound models, exported
-// in the same document shape with "degraded": true so clients know the
-// numbers are optimistic lower bounds, not recommendations. Availability
-// over fidelity — the route keeps answering while the kernel heals.
-func (s *Server) servePlanDegraded(ctx context.Context, w http.ResponseWriter, r *http.Request, suite scenario.Suite, obj planner.Objective, parallelism int) {
-	report, err := planner.PlanSuiteDegradedCtx(ctx, suite, obj, parallelism)
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	if s.evalFailure(w, r, err) {
-		return
-	}
-	s.degradedPlans.Inc()
 	s.plans.Inc()
 	var buf bytes.Buffer
 	if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
@@ -846,9 +760,9 @@ func parseDeadline(s string) (time.Duration, error) {
 
 // handleHealthz answers liveness probes: "ok" while fully serving, 503
 // "draining" once shutdown has begun so load balancers stop routing here,
-// and 200 "degraded" while a kernel circuit breaker is open or probing —
-// the process is alive and still answering (plans fall back to bound
-// estimates), so it must NOT be restarted, but operators should know.
+// and 200 "degraded" while the kernel circuit breaker is open or probing —
+// the process is alive and still answering every cell that needs no kernel
+// fill, so it must NOT be restarted, but operators should know.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.draining.Load() {
@@ -856,7 +770,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "draining\n")
 		return
 	}
-	if s.breakerSweep.State() != BreakerClosed || s.breakerPlan.State() != BreakerClosed {
+	if s.breaker.State() != resilience.BreakerClosed {
 		io.WriteString(w, "degraded\n")
 		return
 	}

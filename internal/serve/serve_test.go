@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,43 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte, ht
 		t.Fatalf("POST %s: read body: %v", path, err)
 	}
 	return resp.StatusCode, raw, resp.Header
+}
+
+// TestHandlerAllocs pins the allocations of one request through the
+// in-process handler, on the kernel-free fixtures: 257 for the plan and
+// 329 for the sweep, the breaker's context value included. A change that
+// allocates more per request fails here and must say why it pays.
+func TestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so counts drift")
+	}
+	// Span ids below 256 box into the traceparent header without
+	// allocating (the runtime's static small integers), so move the
+	// process-wide counter past them: the pin then holds whatever ran
+	// before it. Collections stay off while counting, so pool refills
+	// after a GC do not blur the count.
+	for obs.NewSpanID() < 256 {
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range []struct {
+		path, suite string
+		pin         float64
+	}{{"/v1/plan", planSuiteJSON, 257}, {"/v1/sweep", sweepSuiteJSON, 329}} {
+		body := `{"suite": ` + tc.suite + `}`
+		allocs := testing.AllocsPerRun(20, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(body)))
+			if rec.Code != 200 {
+				t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body)
+			}
+		})
+		if allocs > tc.pin {
+			t.Errorf("%s: one request allocated %.0f objects, pinned at %.0f", tc.path, allocs, tc.pin)
+		}
+	}
 }
 
 func TestHealthzAndMetrics(t *testing.T) {

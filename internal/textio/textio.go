@@ -1,9 +1,8 @@
-// Package textio renders aligned text, Markdown and CSV tables — the
-// output layer of the experiment harness and command-line tools.
+// Package textio renders aligned text tables — the output layer of the
+// experiment harness and command-line tools.
 package textio
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -113,56 +112,6 @@ func (t *Table) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteMarkdown renders the table as GitHub-flavoured Markdown.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	if len(t.headers) == 0 {
-		return fmt.Errorf("textio: markdown table needs headers")
-	}
-	row := func(cells []string) error {
-		escaped := make([]string, len(t.headers))
-		for i := range t.headers {
-			if i < len(cells) {
-				escaped[i] = strings.ReplaceAll(cells[i], "|", "\\|")
-			}
-		}
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(escaped, " | "))
-		return err
-	}
-	if err := row(t.headers); err != nil {
-		return err
-	}
-	rules := make([]string, len(t.headers))
-	for i := range rules {
-		rules[i] = "---"
-	}
-	if err := row(rules); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV renders the table as CSV with a header record.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if len(t.headers) > 0 {
-		if err := cw.Write(t.headers); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders the aligned-text form.

@@ -32,54 +32,6 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	var sb strings.Builder
-	if err := sampleTable().WriteMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "| n | speedup | note |") {
-		t.Errorf("markdown header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "| --- | --- | --- |") {
-		t.Errorf("markdown rule missing:\n%s", out)
-	}
-	if !strings.Contains(out, "| 9 | 4.14 | optimum |") {
-		t.Errorf("markdown row missing:\n%s", out)
-	}
-	if err := NewTable().WriteMarkdown(&sb); err == nil {
-		t.Error("headerless markdown accepted")
-	}
-}
-
-func TestMarkdownEscapesPipes(t *testing.T) {
-	var sb strings.Builder
-	tb := NewTable("a").AddRow("x|y")
-	if err := tb.WriteMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `x\|y`) {
-		t.Errorf("pipe not escaped: %s", sb.String())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := sampleTable().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d csv lines", len(lines))
-	}
-	if lines[0] != "n,speedup,note" {
-		t.Errorf("csv header: %q", lines[0])
-	}
-	if lines[2] != "9,4.14,optimum" {
-		t.Errorf("csv row: %q", lines[2])
-	}
-}
-
 func TestFloatFormatting(t *testing.T) {
 	tests := []struct {
 		in   float64

@@ -1,6 +1,6 @@
 // Package units defines the physical quantities the scalability models are
 // expressed in — floating-point throughput, network bandwidth, data sizes and
-// durations — together with parsing and human-readable formatting.
+// durations — together with human-readable formatting.
 //
 // All quantities are simple float64 wrappers so they compose with the math
 // package without conversions, but the distinct types keep FLOPS from being
@@ -8,7 +8,6 @@
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -55,12 +54,6 @@ const (
 // time.Duration because superstep times routinely fall below a nanosecond
 // once normalized, and because speedup is a ratio of these values.
 type Seconds float64
-
-// Bits converts a byte count to bits.
-func (b Bytes) Bits() Bits { return Bits(b * 8) }
-
-// Bytes converts a bit count to bytes.
-func (b Bits) Bytes() Bytes { return Bytes(b / 8) }
 
 // TransferTime returns how long moving b bits through a link of bandwidth bw
 // takes. A non-positive bandwidth yields +Inf: the transfer never completes.
@@ -154,77 +147,4 @@ func trimFloat(v float64) string {
 		return "0"
 	}
 	return s
-}
-
-var siFactors = map[string]float64{
-	"": 1, "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9, "T": 1e12, "P": 1e15,
-	"E": 1e18,
-}
-
-// ParseFlops parses strings like "211.2 GFLOPS", "4.28 TFLOPS" or "1e9".
-func ParseFlops(s string) (Flops, error) {
-	v, err := parseSI(s, "FLOPS")
-	if err != nil {
-		return 0, fmt.Errorf("units: parse flops %q: %w", s, err)
-	}
-	return Flops(v), nil
-}
-
-// ParseBandwidth parses strings like "1 Gbit/s", "100 Mbit/s" or "1e9".
-func ParseBandwidth(s string) (BitsPerSecond, error) {
-	v, err := parseSI(s, "bit/s")
-	if err != nil {
-		return 0, fmt.Errorf("units: parse bandwidth %q: %w", s, err)
-	}
-	return BitsPerSecond(v), nil
-}
-
-// parseSI parses "<number> [<prefix>]<unit>" with an optional space and a
-// case-insensitive unit. A bare number is accepted as the base unit.
-func parseSI(s, unit string) (float64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("empty")
-	}
-	// Split the leading numeric part from the suffix.
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' || c == '+' || c == '-' ||
-			c == 'e' || c == 'E' {
-			// 'e'/'E' may begin the unit (none here) or an exponent; accept it
-			// only when followed by a digit or sign.
-			if c == 'e' || c == 'E' {
-				if i+1 >= len(s) {
-					break
-				}
-				next := s[i+1]
-				if !(next >= '0' && next <= '9') && next != '+' && next != '-' {
-					break
-				}
-			}
-			i++
-			continue
-		}
-		break
-	}
-	num, suffix := s[:i], strings.TrimSpace(s[i:])
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", num)
-	}
-	if suffix == "" {
-		return v, nil
-	}
-	lowUnit := strings.ToLower(unit)
-	lowSuffix := strings.ToLower(suffix)
-	if !strings.HasSuffix(lowSuffix, lowUnit) {
-		return 0, fmt.Errorf("expected unit %q", unit)
-	}
-	prefix := strings.TrimSpace(suffix[:len(suffix)-len(unit)])
-	factor, ok := siFactors[prefix]
-	if !ok {
-		return 0, fmt.Errorf("unknown SI prefix %q", prefix)
-	}
-	return v * factor, nil
 }

@@ -15,19 +15,20 @@
 # must carry well-formed # TYPE lines, a populated request-duration
 # histogram and a positive dmls_requests_total.
 #
-# Phase 2 is the circuit-breaker drill: a second server instance starts
-# with -chaos-kernel-errors so every kernel computation fails, kernel-backed
-# requests trip both route breakers, and the script asserts the full
-# degraded-mode contract — /healthz says "degraded" (still 200), /v1/plan
-# answers bound-model estimates with "degraded": true, /v1/sweep sheds 503
-# with a positive Retry-After — then waits out the open window and proves
-# the service heals: kernel-free probes close both breakers, /healthz says
-# "ok" again, and the dmls_breaker_state gauges read 0 (closed).
+# Phase 2 is the kernel circuit-breaker drill: a second server instance
+# starts with -chaos-kernel-errors 15, so five fills of a kernel-backed
+# suite exhaust their retries and trip the breaker. The script asserts its
+# contract: /healthz says "degraded" (still 200), kernel-free plans and
+# sweeps answer byte-identically to their closed-breaker answers, the
+# kernel-backed suite answers 200 with a "kernel unavailable" cell on both
+# routes, and the dmls_breaker_state gauge reads 1 (open). After the open
+# period the same kernel-backed request is the probe fill: it succeeds,
+# /healthz says "ok" again and the gauge reads 0 (closed).
 #
 # Phase 3 is the absorb drill: a third server instance starts with
 # -chaos-kernel-errors 2, inside the default 3 kernel attempts, and the
 # script asserts that retries absorb every fault — kernel-backed sweeps
-# and plans answer 200 with no error cell, both breakers stay closed, and
+# and plans answer 200 with no error cell, the breaker stays closed, and
 # dmls_retries_total is positive.
 #
 # The p50/p99/shed-rate summary prints on stdout and, when OUT is set, is
@@ -56,7 +57,7 @@ fi
 
 # expect asserts a numeric condition on one series of a Prometheus
 # exposition file: expect <file> <series> <awk comparison>, e.g.
-#   expect metrics.prom 'dmls_breaker_state{route="plan"}' '== 1'
+#   expect metrics.prom dmls_breaker_state '== 1'
 expect() {
     if ! awk -v series="$2" "\$1 == series { found = 1; ok = (\$2 $3) } END { exit !(found && ok) }" "$1"; then
         echo "loadtest.sh: metrics check failed: $2 $3" >&2
@@ -153,13 +154,14 @@ fi
 trap 'rm -rf "$workdir"' EXIT
 
 # ---------------------------------------------------------------------------
-# Phase 2: circuit-breaker trip-and-recover drill.
+# Phase 2: kernel circuit-breaker trip-and-recover drill.
 #
-# A fresh server instance where every kernel computation fails with a
-# transient fault (-chaos-kernel-errors 999 outlasts the kernel retries), a
-# small breaker window so two failed requests per route trip it, and an
-# open period long enough to assert the degraded contract before the
-# half-open probe is admitted.
+# A fresh server instance where every kernel coordinate fails its first 15
+# attempts with a transient fault: each of the chaos suite's first five
+# fills burns its three attempts and fails, which trips the breaker (five
+# failed fills is its minimum sample count), and the sixth fill of the same
+# coordinates succeeds. The open period is long enough to assert the open
+# contract before the probe fill is admitted.
 BREAKER_OPEN_FOR="${BREAKER_OPEN_FOR:-3s}"
 PORT2=$((PORT + 1))
 base2="http://127.0.0.1:$PORT2"
@@ -186,10 +188,8 @@ cat >"$workdir/chaos-suite.json" <<'EOF'
 }
 EOF
 
-# The probe: a kernel-free, convergence-bearing suite. Closed-form, so it
-# succeeds even under total kernel chaos — it exercises the degraded plan
-# path (bound models exist) and later closes the breakers as the half-open
-# probe.
+# The kernel-free probe: a closed-form, convergence-bearing suite that
+# never fills a kernel estimate, so the open breaker must not touch it.
 cat >"$workdir/probe-suite.json" <<'EOF'
 {
   "name": "breaker drill: kernel-free probe",
@@ -215,85 +215,65 @@ jq -c '{suite: .}' "$workdir/chaos-suite.json" >"$workdir/chaos-req.json"
 jq -c '{suite: .}' "$workdir/probe-suite.json" >"$workdir/probe-req.json"
 jq -c '{suite: .}' examples/suites/fig2-bandwidth-sweep.json >"$workdir/sweep-req.json"
 
-"$workdir/dmls-serve" -addr "127.0.0.1:$PORT2" -chaos-kernel-errors 999 \
-    -breaker-window 4 -breaker-min-samples 2 -breaker-failure-ratio 0.5 \
+"$workdir/dmls-serve" -addr "127.0.0.1:$PORT2" -chaos-kernel-errors 15 \
     -breaker-open-for "$BREAKER_OPEN_FOR" 2>"$workdir/serve2.log" &
 server2_pid=$!
 trap 'kill "$server2_pid" 2>/dev/null || true; wait "$server2_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 await_healthy "$server2_pid" "$base2" "$workdir/serve2.log"
 
-# Trip both breakers: two kernel-backed requests per route, every kernel
-# attempt failing. Plans and sweeps fail in-body (200 + error cells), and
-# the failures are transient faults, so both count against their route's
-# breaker.
-for _ in 1 2; do
-    curl -s -o /dev/null -X POST -d @"$workdir/chaos-req.json" "$base2/v1/plan"
-done
-for _ in 1 2; do
-    curl -s -o /dev/null -X POST -d @"$workdir/chaos-req.json" "$base2/v1/sweep"
+# The kernel-free answers with the breaker closed.
+curl -fsS -X POST -d @"$workdir/probe-req.json" "$base2/v1/plan" >"$workdir/closed-plan.json"
+curl -fsS -X POST -d @"$workdir/sweep-req.json" "$base2/v1/sweep" >"$workdir/closed-sweep.json"
+
+# Trip the breaker: five chaos-suite requests across both routes, each one
+# fill whose three attempts all fail transiently.
+for route in plan sweep plan sweep plan; do
+    curl -fsS -o /dev/null -X POST -d @"$workdir/chaos-req.json" "$base2/v1/$route"
 done
 
 # Open-state contract. /healthz: degraded but alive (200).
 hz=$(curl -fsS "$base2/healthz")
 if [ "$hz" != "degraded" ]; then
-    echo "loadtest.sh: healthz should report degraded while breakers are open, got: $hz" >&2
+    echo "loadtest.sh: healthz should report degraded while the breaker is open, got: $hz" >&2
     exit 1
 fi
 
-# /v1/plan: answered degraded — bound-model estimates, flagged as such.
-curl -fsS -X POST -d @"$workdir/probe-req.json" "$base2/v1/plan" >"$workdir/degraded-plan.json"
-if [ "$(jq -r .degraded "$workdir/degraded-plan.json")" != "true" ]; then
-    echo "loadtest.sh: open plan breaker should serve degraded plans:" >&2
-    cat "$workdir/degraded-plan.json" >&2
-    exit 1
-fi
-if [ "$(jq -r '.plans[0].bound_time_seconds > 0' "$workdir/degraded-plan.json")" != "true" ]; then
-    echo "loadtest.sh: degraded plan carries no bound-model estimate:" >&2
-    cat "$workdir/degraded-plan.json" >&2
-    exit 1
-fi
+# Kernel-free requests answer exactly as with the breaker closed.
+curl -fsS -X POST -d @"$workdir/probe-req.json" "$base2/v1/plan" >"$workdir/open-plan.json"
+curl -fsS -X POST -d @"$workdir/sweep-req.json" "$base2/v1/sweep" >"$workdir/open-sweep.json"
+for doc in plan sweep; do
+    if ! cmp -s "$workdir/closed-$doc.json" "$workdir/open-$doc.json"; then
+        echo "loadtest.sh: kernel-free $doc changed while the breaker was open:" >&2
+        diff "$workdir/closed-$doc.json" "$workdir/open-$doc.json" >&2 || true
+        exit 1
+    fi
+done
 
-# /v1/sweep: shed with 503 and a positive integer Retry-After.
-sweep_code=$(curl -s -o /dev/null -w '%{http_code}' -D "$workdir/sweep-headers" \
-    -X POST -d @"$workdir/sweep-req.json" "$base2/v1/sweep")
-if [ "$sweep_code" != "503" ]; then
-    echo "loadtest.sh: open sweep breaker should shed 503, got $sweep_code" >&2
-    exit 1
-fi
-retry_after=$(awk 'tolower($1) == "retry-after:" { gsub("\r", "", $2); print $2 }' "$workdir/sweep-headers")
-case "$retry_after" in
-    ''|*[!0-9]*) echo "loadtest.sh: 503 shed carries no integer Retry-After (got '$retry_after')" >&2; exit 1 ;;
-esac
-if [ "$retry_after" -lt 1 ]; then
-    echo "loadtest.sh: Retry-After must be >= 1, got $retry_after" >&2
-    exit 1
-fi
+# The kernel-backed suite answers 200 on both routes, its cell failed fast.
+for route in plan sweep; do
+    code=$(curl -s -o "$workdir/open-chaos-$route.json" -w '%{http_code}' \
+        -X POST -d @"$workdir/chaos-req.json" "$base2/v1/$route")
+    if [ "$code" != "200" ] || ! grep -q 'kernel unavailable' "$workdir/open-chaos-$route.json"; then
+        echo "loadtest.sh: open breaker: $route should answer 200 with a kernel-unavailable cell, got $code:" >&2
+        cat "$workdir/open-chaos-$route.json" >&2
+        exit 1
+    fi
+done
 
-# Metrics while degraded: breakers open (state 1), degraded counters
-# moving, and the chaos faults actually went through the retry path first.
 curl -fsS "$base2/metrics" >"$workdir/metrics2-open.prom"
-expect "$workdir/metrics2-open.prom" 'dmls_breaker_state{route="plan"}' '== 1'
-expect "$workdir/metrics2-open.prom" 'dmls_breaker_state{route="sweep"}' '== 1'
-expect "$workdir/metrics2-open.prom" dmls_degraded_plans_total '>= 1'
-expect "$workdir/metrics2-open.prom" dmls_degraded_shed_total '>= 1'
+expect "$workdir/metrics2-open.prom" dmls_breaker_state '== 1'
 expect "$workdir/metrics2-open.prom" dmls_retries_total '> 0'
-echo "loadtest.sh: breakers tripped — healthz degraded, plans degraded, sweeps shed with Retry-After $retry_after" >&2
+echo "loadtest.sh: breaker tripped — healthz degraded, kernel-free answers unchanged, kernel cells unavailable" >&2
 
-# Recovery: wait out the open period, then send kernel-free probes. The
-# half-open breakers admit one probe each; closed-form suites succeed even
-# under chaos, so both breakers close and the service heals.
+# Recovery: wait out the open period; the same chaos request is the probe
+# fill, and its coordinates have used up their 15 failing attempts.
 sleep "$(echo "$BREAKER_OPEN_FOR" | sed 's/s$//').2"
-curl -fsS -X POST -d @"$workdir/probe-req.json" "$base2/v1/plan" >"$workdir/recovered-plan.json"
-if [ "$(jq -r '.degraded == true' "$workdir/recovered-plan.json")" = "true" ]; then
-    echo "loadtest.sh: plan still degraded after the breaker's open period:" >&2
-    cat "$workdir/recovered-plan.json" >&2
-    exit 1
-fi
-recovered_code=$(curl -s -o /dev/null -w '%{http_code}' \
-    -X POST -d @"$workdir/sweep-req.json" "$base2/v1/sweep")
-if [ "$recovered_code" != "200" ]; then
-    echo "loadtest.sh: sweep still shed after the breaker's open period (got $recovered_code)" >&2
+code=$(curl -s -o "$workdir/recovered.json" -w '%{http_code}' \
+    -X POST -d @"$workdir/chaos-req.json" "$base2/v1/sweep")
+if [ "$code" != "200" ] || grep -q '"error"' "$workdir/recovered.json"; then
+    echo "loadtest.sh: the probe fill should succeed after the open period, got $code:" >&2
+    cat "$workdir/recovered.json" >&2
     exit 1
 fi
 hz=$(curl -fsS "$base2/healthz")
@@ -302,9 +282,8 @@ if [ "$hz" != "ok" ]; then
     exit 1
 fi
 curl -fsS "$base2/metrics" >"$workdir/metrics2-closed.prom"
-expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="plan"}' '== 0'
-expect "$workdir/metrics2-closed.prom" 'dmls_breaker_state{route="sweep"}' '== 0'
-echo "loadtest.sh: breakers recovered — healthz ok, both breaker gauges closed" >&2
+expect "$workdir/metrics2-closed.prom" dmls_breaker_state '== 0'
+echo "loadtest.sh: breaker recovered — probe fill succeeded, healthz ok, breaker gauge closed" >&2
 
 drain "$server2_pid" "$workdir/serve2.log"
 trap 'rm -rf "$workdir"' EXIT
@@ -343,11 +322,10 @@ for route in sweep plan; do
     fi
 done
 curl -fsS "$base3/metrics" >"$workdir/metrics3.prom"
-expect "$workdir/metrics3.prom" 'dmls_breaker_state{route="plan"}' '== 0'
-expect "$workdir/metrics3.prom" 'dmls_breaker_state{route="sweep"}' '== 0'
+expect "$workdir/metrics3.prom" dmls_breaker_state '== 0'
 expect "$workdir/metrics3.prom" dmls_retries_total '> 0'
 retries3=$(awk '$1 == "dmls_retries_total" { print $2 }' "$workdir/metrics3.prom")
-echo "loadtest.sh: retries absorbed the faults — sweep and plan 200 with no error cell, breakers closed, $retries3 retries" >&2
+echo "loadtest.sh: retries absorbed the faults — sweep and plan 200 with no error cell, breaker closed, $retries3 retries" >&2
 
 drain "$server3_pid" "$workdir/serve3.log"
 trap 'rm -rf "$workdir"' EXIT
