@@ -46,7 +46,7 @@ func TestStatsReport(t *testing.T) {
 	st := scenario.EvalStats{Scenarios: 6, Evaluated: 3, Pruned: 2, Failed: 1, Refined: 4, RefineRounds: 2}
 	rendered := statsReport(st, registry.SnapshotCaches(), 3*time.Millisecond)
 	for _, want := range []string{"6 cells planned", "3 evaluated", "2 pruned", "1 failed",
-		"refinement added 4 cells over 2 rounds", "hit ratio", "kernel cache", "graph caches"} {
+		"refinement added 4 cells over 2 rounds", "hit ratio", "kernel cache", "degree cache"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("stats report missing %q:\n%s", want, rendered)
 		}

@@ -16,9 +16,9 @@
 // export so deployment tools can consume sweep results. -parallel sizes the
 // shared parallelism budget that both suite-level curve workers and
 // intra-curve Monte-Carlo shards draw from. -stats appends a cache
-// observability report on stderr: the Monte-Carlo kernel-cache hit ratio,
-// how many curves were deduplicated (identical cells evaluated once and
-// fanned out), and the build-versus-sample wall-time split.
+// observability report on stderr: how many cells evaluated, failed, were
+// cancelled or resumed, the build-versus-sample wall-time split, and the
+// Monte-Carlo kernel-cache hit ratio.
 //
 // A failing scenario (unknown preset, bad figures) reports its error in the
 // table; the rest of the suite still evaluates — but the process then exits
@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Name: "dmls-sweep",
 		Usage: cli.Usage{
 			Parallel:    "total parallelism budget shared by suite-level curve workers and intra-curve Monte-Carlo shards; 0 means GOMAXPROCS",
-			Stats:       "report kernel-cache hit ratio, curve dedup and wall-time split on stderr",
+			Stats:       "report cell counts, kernel-cache hit ratio and wall-time split on stderr",
 			Trace:       "write a Chrome/Perfetto trace of the evaluation (suite→cell→kernel spans) to this file",
 			EmitExample: "print an example sweep suite and exit",
 			Checkpoint:  "append-only journal file recording finished cells and kernel estimates as they land; a killed run resumes from it with -resume",
@@ -136,8 +136,7 @@ func (v *sweep) Failed() (failed, total int) {
 // compute), the slowest cells and the process-wide cache counters (which, in
 // a CLI run, cover exactly this evaluation).
 func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time.Duration) string {
-	line := fmt.Sprintf("stats: %d cells: %d evaluated, %d deduped, %d pruned, %d refined, %d failed",
-		st.Scenarios, st.Evaluated, st.CurvesDeduped, st.Pruned, st.Refined, st.Failed)
+	line := fmt.Sprintf("stats: %d cells: %d evaluated, %d failed", st.Scenarios, st.Evaluated, st.Failed)
 	if st.Cancelled > 0 {
 		line += fmt.Sprintf(", %d cancelled", st.Cancelled)
 	}

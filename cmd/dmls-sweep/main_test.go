@@ -42,13 +42,19 @@ func TestStatsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scenarios != len(results) || st.Evaluated+st.CurvesDeduped+st.Failed != st.Scenarios {
+	if st.Scenarios != len(results) || st.Evaluated+st.Failed != st.Scenarios {
 		t.Errorf("inconsistent stats %+v for %d results", st, len(results))
 	}
 	rendered := statsReport(st, registry.SnapshotCaches(), time.Millisecond)
-	for _, want := range []string{"evaluated", "deduped", "pruned", "refined", "hit ratio", "kernel cache", "graph caches"} {
+	for _, want := range []string{"evaluated", "failed", "hit ratio", "kernel cache", "degree cache"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("stats report missing %q:\n%s", want, rendered)
+		}
+	}
+	// Only plans prune or refine, and no cell is served from another's curve.
+	for _, gone := range []string{"deduped", "pruned", "refined"} {
+		if strings.Contains(rendered, gone) {
+			t.Errorf("stats report still counts %q:\n%s", gone, rendered)
 		}
 	}
 }

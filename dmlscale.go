@@ -240,13 +240,12 @@ func LoadSuite(path string) (Suite, error) { return scenario.LoadSuite(path) }
 // them; the parallelism argument only caps the suite-level workers within
 // that budget (≤ 0 means no extra cap — it cannot raise concurrency above
 // the budget). A failing scenario yields a SuiteResult with Err set; the
-// rest of the suite still evaluates. Cells that describe the same model
-// under different labels are evaluated once and fanned out
-// (SuiteResult.Deduped), and Monte-Carlo kernel estimates are cached
-// process-wide, so a grid that varies only communication-side axes pays for
-// each distinct computation kernel exactly once; results are bit-identical
-// with the caches cold or warm. Pair the stats with SnapshotCaches to see
-// the kernel-cache hit ratio.
+// rest of the suite still evaluates. Every cell evaluates its own model, and
+// Monte-Carlo kernel estimates are cached process-wide, so a grid that
+// varies only communication-side axes pays for each distinct computation
+// kernel exactly once; results are bit-identical with the caches cold or
+// warm. Pair the stats with SnapshotCaches to see the kernel-cache hit
+// ratio.
 //
 // Cancelling ctx stops new model work promptly — including Monte-Carlo
 // kernels mid-estimate — and yields deterministic partial results, one
@@ -294,11 +293,11 @@ type (
 	// MemoStats is one cache's hit/miss/eviction/entry counters.
 	MemoStats = memo.Stats
 	// CacheStats snapshots every process-wide registry cache: generated
-	// degree sequences, materialized graphs and Monte-Carlo maxᵢEᵢ kernel
-	// estimates.
+	// degree sequences and Monte-Carlo maxᵢEᵢ kernel estimates.
 	CacheStats = registry.CacheStats
 	// EvalStats summarizes one EvaluateSuite or PlanSuite pass: cells
-	// evaluated versus deduped or pruned, and where the wall time went.
+	// evaluated versus failed, cancelled or pruned, and where the wall
+	// time went.
 	EvalStats = scenario.EvalStats
 )
 
@@ -307,7 +306,7 @@ type (
 // Monte-Carlo estimations actually performed since the last ResetCaches.
 func SnapshotCaches() CacheStats { return registry.SnapshotCaches() }
 
-// ResetCaches empties every process-wide cache (degree sequences, graphs,
+// ResetCaches empties every process-wide cache (degree sequences and
 // Monte-Carlo estimates) and zeroes its counters, so benchmarks and tests
 // measure a fully cold state. Evaluation never needs it.
 func ResetCaches() { registry.ResetCaches() }

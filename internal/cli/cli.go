@@ -205,10 +205,10 @@ func (h *Harness) Run(ctx context.Context, v Verb) int {
 		fmt.Fprintf(h.stderr, "%s: checkpoint: %v\n", h.cmd.Name, ckptErr)
 	}
 	if interrupted {
-		// Sweeps never prune and plans never dedup curves, so one sum
-		// counts the finished cells of either verb.
+		// Sweeps never prune, so one sum counts the finished cells of
+		// either verb.
 		fmt.Fprintf(h.stderr, "%s: interrupted; partial results above (%d of %d cells %s)\n",
-			h.cmd.Name, st.Evaluated+st.CurvesDeduped+st.Pruned, st.Scenarios, h.cmd.Done)
+			h.cmd.Name, st.Evaluated+st.Pruned, st.Scenarios, h.cmd.Done)
 		if *h.ckptPath != "" {
 			fmt.Fprintf(h.stderr, "%s: resume with: -suite %s -checkpoint %s -resume\n", h.cmd.Name, *h.suitePath, *h.ckptPath)
 		}

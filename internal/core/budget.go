@@ -7,8 +7,8 @@ import (
 )
 
 // Budget is a process-wide parallelism budget: a counting semaphore sized to
-// a worker limit that every parallel layer draws from. Suite-level curve
-// workers (EvaluateStreamCtx) and intra-curve shards (parallel curve sampling,
+// a worker limit that every parallel layer draws from. Suite-level cell
+// workers (ForEachCtx) and intra-curve shards (parallel curve sampling,
 // Monte-Carlo trial sharding in package partition) acquire extra workers
 // from the same pool, so nesting the two levels cannot oversubscribe the
 // machine: a 10-curve suite on 8 cores spends the whole budget on curves and

@@ -153,6 +153,17 @@ func TestSpeedupRelative(t *testing.T) {
 	if got := m.SpeedupRelative(5, 20); math.Abs(got-want) > 1e-9 {
 		t.Errorf("s(5,20) = %v, want %v", got, want)
 	}
+	// The curve form samples the same values.
+	c, err := m.SpeedupCurveRelative(5, []int{5, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Points[0].Speedup; math.Abs(s-1) > 1e-12 {
+		t.Errorf("curve s(5;5) = %v, want 1", s)
+	}
+	if s := c.Points[1].Speedup; math.Abs(s-want) > 1e-9 {
+		t.Errorf("curve s(5,20) = %v, want %v", s, want)
+	}
 }
 
 func TestRange(t *testing.T) {

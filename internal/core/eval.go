@@ -11,9 +11,9 @@ import (
 )
 
 // Job is one curve to evaluate: a model builder plus the worker counts to
-// sample. BuildCtx runs inside the evaluation pool, so expensive construction
-// (graph generation, Monte-Carlo estimation) parallelizes along with curve
-// sampling.
+// sample, with speedups relative to one worker. BuildCtx runs inside the
+// evaluation pool, so expensive construction (graph generation, Monte-Carlo
+// estimation) parallelizes along with curve sampling.
 type Job struct {
 	// Name labels the job in results; it also labels errors.
 	Name string
@@ -23,14 +23,6 @@ type Job struct {
 	BuildCtx func(ctx context.Context) (Model, error)
 	// Workers are the counts to sample.
 	Workers []int
-	// Base is the speedup reference count; 0 means 1.
-	Base int
-	// Key optionally fingerprints the job's model inputs. Jobs carrying
-	// equal non-empty keys are promised identical — same BuildCtx output,
-	// same Workers, same Base — so EvaluateStreamCtx evaluates the first
-	// occurrence and fans its curve out to the rest instead of recomputing
-	// it. Empty means never deduplicate.
-	Key string
 }
 
 // JobResult is one evaluated curve, or the error that stopped it. Results
@@ -45,14 +37,9 @@ type JobResult struct {
 	// errors.Is(Err, context.Canceled/DeadlineExceeded) distinguishes
 	// "request abandoned" from "model broken".
 	Err error
-	// Deduped marks a result served by relabeling an identical job's curve
-	// (equal non-empty Key) instead of evaluating this job; the points
-	// slice is shared with the evaluated job and must stay read-only.
-	Deduped bool
 	// BuildTime and SampleTime split the job's wall time between model
 	// construction (Build: graph generation, catalog resolution) and curve
-	// sampling (time evaluation, Monte-Carlo estimation). Both are zero on
-	// deduped results.
+	// sampling (time evaluation, Monte-Carlo estimation).
 	BuildTime  time.Duration
 	SampleTime time.Duration
 }
@@ -63,9 +50,10 @@ func (r JobResult) IsCancelled() bool {
 	return resilience.IsCancelled(r.Err)
 }
 
-// cancelResult is the result of a job abandoned before (or during)
-// evaluation because the context was done.
-func cancelResult(name string, err error) JobResult {
+// CancelledResult is the result of a job abandoned before (or during)
+// evaluation because the context was done: callers fill the slots of jobs a
+// cancellation never reached with it, so every job still gets one result.
+func CancelledResult(name string, err error) JobResult {
 	return JobResult{Name: name, Err: fmt.Errorf("core: job %q cancelled: %w", name, err)}
 }
 
@@ -111,23 +99,16 @@ func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) int {
 	return min(int(next.Load()), n)
 }
 
-// recordDedup emits an instant span marking a curve served by relabeling a
-// representative's instead of evaluating — visible in traces as zero-cost
-// cells. Free when tracing is off.
-func recordDedup(ctx context.Context, name string) {
-	_, sp := obs.Start(ctx, "dedup")
-	sp.SetString("cell", name)
-	sp.End()
-}
-
-// evaluateOne runs a single job, converting panics into errors so a broken
-// model cannot kill the pool. A done context short-circuits to a cancelled
-// result, and a panic that carries a context error — the idiom model
-// closures use to surface cancellation from inside context-blind Model
-// methods — unwraps to a clean cancelled result instead of a "panicked"
-// error. Transient kernel faults were already retried inside the kernel
-// fill (internal/registry), so a job is evaluated exactly once.
-func evaluateOne(ctx context.Context, job Job) (res JobResult) {
+// EvaluateOne runs a single job, converting panics into errors so a broken
+// model cannot kill the pool that fans jobs out (ForEachCtx): a failing or
+// panicking job yields an error result and leaves the others alone. A done
+// context short-circuits to a cancelled result, and a panic that carries a
+// context error — the idiom model closures use to surface cancellation from
+// inside context-blind Model methods — unwraps to a clean cancelled result
+// instead of a "panicked" error. Transient kernel faults were already
+// retried inside the kernel fill (internal/registry), so a job is evaluated
+// exactly once.
+func EvaluateOne(ctx context.Context, job Job) (res JobResult) {
 	res.Name = job.Name
 	// The cell span parents everything the job does — including kernel
 	// work the model runs at sample time through the build-captured ctx —
@@ -141,7 +122,7 @@ func evaluateOne(ctx context.Context, job Job) (res JobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && resilience.IsCancelled(err) {
-				res = cancelResult(job.Name, err)
+				res = CancelledResult(job.Name, err)
 			} else if err, ok := r.(error); ok {
 				// Wrap, don't format: the panic idiom carries typed errors
 				// (kernel failures, injected transient faults) whose chain
@@ -157,7 +138,7 @@ func evaluateOne(ctx context.Context, job Job) (res JobResult) {
 		span.End()
 	}()
 	if err := ctx.Err(); err != nil {
-		return cancelResult(job.Name, err)
+		return CancelledResult(job.Name, err)
 	}
 	if job.BuildCtx == nil {
 		res.Err = fmt.Errorf("core: job %q has no builder", job.Name)
@@ -170,23 +151,19 @@ func evaluateOne(ctx context.Context, job Job) (res JobResult) {
 	res.BuildTime = time.Since(start)
 	if err != nil {
 		if resilience.IsCancelled(err) {
-			return cancelResult(job.Name, err)
+			return CancelledResult(job.Name, err)
 		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)
 		return res
 	}
-	base := job.Base
-	if base <= 0 {
-		base = 1
-	}
 	start = time.Now()
 	_, sspan = obs.Start(ctx, "sample")
-	curve, err := model.SpeedupCurveRelative(base, job.Workers)
+	curve, err := model.SpeedupCurve(job.Workers)
 	sspan.End()
 	res.SampleTime = time.Since(start)
 	if err != nil {
 		if resilience.IsCancelled(err) {
-			return cancelResult(job.Name, err)
+			return CancelledResult(job.Name, err)
 		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)
 		return res

@@ -11,6 +11,19 @@ import (
 	"dmlscale/internal/units"
 )
 
+// evaluateAll is the suite evaluator's fan-out over a job slice: one result
+// per job, in job order, with cancelled stubs past the prefix ForEachCtx ran.
+func evaluateAll(ctx context.Context, jobs []Job, parallelism int) []JobResult {
+	out := make([]JobResult, len(jobs))
+	ran := ForEachCtx(ctx, len(jobs), parallelism, func(i int) {
+		out[i] = EvaluateOne(ctx, jobs[i])
+	})
+	for i := ran; i < len(jobs); i++ {
+		out[i] = CancelledResult(jobs[i].Name, ctx.Err())
+	}
+	return out
+}
+
 // testModel is a trivial c/n + a·n model.
 func testModel(name string, c, a float64) Model {
 	return Model{
@@ -156,112 +169,4 @@ func TestForEachReRaisesPanics(t *testing.T) {
 		}
 		ran.Add(1)
 	})
-}
-
-// TestEvaluateAllDedupsEqualKeys: jobs promising identical models (equal
-// non-empty Key) are evaluated once, wherever in the job order the
-// duplicates appear, and every duplicate slot gets the shared curve under
-// its own name.
-func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
-	workers := Range(1, 8)
-	var builds atomic.Int32
-	job := func(name, key string, c float64) Job {
-		return Job{
-			Name: name,
-			Key:  key,
-			BuildCtx: func(context.Context) (Model, error) {
-				builds.Add(1)
-				return testModel(name, c, 1), nil
-			},
-			Workers: workers,
-		}
-	}
-	// Duplicates interleave out of order with distinct and unkeyed cells.
-	jobs := []Job{
-		job("a-1", "A", 100),
-		job("b-1", "B", 200),
-		job("a-2", "A", 100),
-		job("nokey-1", "", 100),
-		job("b-2", "B", 200),
-		job("a-3", "A", 100),
-		job("nokey-2", "", 100),
-	}
-	results := evaluateAll(context.Background(), jobs, 2)
-	if n := builds.Load(); n != 4 {
-		t.Errorf("%d models built, want 4 (A, B and the two unkeyed jobs)", n)
-	}
-	wantDeduped := map[string]bool{"a-2": true, "a-3": true, "b-2": true}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("job %d: %v", i, res.Err)
-		}
-		if res.Name != jobs[i].Name || res.Curve.Name != jobs[i].Name {
-			t.Errorf("result %d labeled %q (curve %q), want %q", i, res.Name, res.Curve.Name, jobs[i].Name)
-		}
-		if res.Deduped != wantDeduped[res.Name] {
-			t.Errorf("%s: Deduped = %v, want %v", res.Name, res.Deduped, wantDeduped[res.Name])
-		}
-		c := 100.0
-		if strings.HasPrefix(res.Name, "b") {
-			c = 200
-		}
-		want, err := testModel(res.Name, c, 1).SpeedupCurve(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, p := range res.Curve.Points {
-			if p != want.Points[j] {
-				t.Errorf("%s point %d: %+v != %+v", res.Name, j, p, want.Points[j])
-			}
-		}
-	}
-}
-
-// TestEvaluateAllDedupFailedRepsRecompute: duplicates of a failed
-// representative are evaluated individually, so their errors carry their
-// own names exactly as without dedup.
-func TestEvaluateAllDedupFailedRepsRecompute(t *testing.T) {
-	var builds atomic.Int32
-	bad := func(name string) Job {
-		return Job{
-			Name: name,
-			Key:  "K",
-			BuildCtx: func(context.Context) (Model, error) {
-				builds.Add(1)
-				return Model{}, errors.New("bad cell")
-			},
-			Workers: Range(1, 4),
-		}
-	}
-	results := evaluateAll(context.Background(), []Job{bad("first"), bad("second"), bad("third")}, 1)
-	if n := builds.Load(); n != 3 {
-		t.Errorf("%d builds, want 3 (failed representatives do not fan out)", n)
-	}
-	for i, res := range results {
-		if res.Deduped {
-			t.Errorf("result %d marked deduped despite failing", i)
-		}
-		if res.Err == nil || !strings.Contains(res.Err.Error(), res.Name) {
-			t.Errorf("result %d: error %v does not carry its own name %q", i, res.Err, res.Name)
-		}
-	}
-}
-
-func TestEvaluateAllRelativeBase(t *testing.T) {
-	jobs := []Job{{
-		Name:     "rel",
-		BuildCtx: func(context.Context) (Model, error) { return testModel("rel", 100, 0), nil },
-		Workers:  []int{50, 100},
-		Base:     50,
-	}}
-	res := evaluateAll(context.Background(), jobs, 1)[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if s := res.Curve.Points[0].Speedup; s != 1 {
-		t.Errorf("s(base) = %v, want 1", s)
-	}
-	if s := res.Curve.Points[1].Speedup; s != 2 {
-		t.Errorf("s(100 vs 50) = %v, want 2 for pure compute", s)
-	}
 }

@@ -1,11 +1,11 @@
 // Package memo is the module's shared memoization primitive: a bounded,
 // mutex-striped, single-flight LRU cache with hit/miss/eviction counters.
 //
-// Every process-wide cache in the module — generated degree sequences,
-// materialized graphs, Monte-Carlo maxᵢEᵢ estimates — is an instance of
-// Cache, so they all share one eviction policy, one single-flight
-// discipline and one observability surface (Stats) instead of each
-// open-coding its own sync.Map-plus-Once hybrid.
+// Every process-wide cache in the module — generated degree sequences and
+// Monte-Carlo maxᵢEᵢ estimates — is an instance of Cache, so they share one
+// eviction policy, one single-flight discipline and one observability
+// surface (Stats) instead of each open-coding its own sync.Map-plus-Once
+// hybrid.
 //
 // Concurrency model: a stripe's mutex is held only for map-and-recency-list
 // work; the cached computation runs afterwards on the first caller's

@@ -15,8 +15,8 @@
 // A scenario without a convergence block — or from a family with no
 // iteration/batch notion, like the graph-inference families — degrades
 // gracefully to per-iteration ranking, with a one-line notice explaining the
-// downgrade. Suite planning fans out on the shared parallelism budget
-// (core.ForEachCtx), so ranking a 100-cell grid parallelizes exactly like a
+// downgrade. Suite planning fans out through core.ForEachCtx, the fan-out a
+// sweep uses too, so ranking a 100-cell grid parallelizes exactly like a
 // sweep, and the output is bit-identical at any parallelism. Model
 // construction goes through the registry's process-wide caches, so planner
 // probes — including the per-iteration fallbacks that price graph-inference

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmlscale/internal/graph"
 	"dmlscale/internal/memo"
 )
 
@@ -14,20 +13,19 @@ import (
 // layered the way the data flows:
 //
 //	GraphSpec ──► degree sequence + fingerprint ──► Monte-Carlo maxᵢEᵢ estimate ──► curve
-//	          └─► materialized graph
 //
-// All three are memo.Cache instances — bounded, single-flight, counted —
-// so a sweep grid whose cells share a graph generates it once, and a grid
+// Both are memo.Cache instances — bounded, single-flight, counted — so a
+// sweep grid whose cells share a graph generates it once, and a grid
 // that varies only communication-side axes (bandwidth, protocol, precision)
 // prices every cell off the same computation kernel instead of resampling
 // it per cell. SnapshotCaches exposes the counters; ResetCaches returns the
 // whole stack to cold.
 const (
-	// maxGraphCacheEntries bounds the generated degree-sequence and
-	// materialized-graph caches. Past the bound the least recently used
-	// spec is evicted (and would regenerate on its next use), so a
-	// long-lived service cycling through many distinct graphs keeps its
-	// working set hot instead of pinning the first 32 specs forever.
+	// maxGraphCacheEntries bounds the generated degree-sequence cache. Past
+	// the bound the least recently used spec is evicted (and would
+	// regenerate on its next use), so a long-lived service cycling through
+	// many distinct graphs keeps its working set hot instead of pinning the
+	// first 32 specs forever.
 	maxGraphCacheEntries = 32
 
 	// maxEstimateCacheEntries bounds the Monte-Carlo estimate cache. One
@@ -38,7 +36,7 @@ const (
 
 	// estimateCacheStripes shards the estimate cache's lock: curve points
 	// for different worker counts are sampled concurrently and each lookup
-	// is far cheaper than the graph caches' generation work, so contention
+	// is far cheaper than the degree cache's generation work, so contention
 	// matters here.
 	estimateCacheStripes = 16
 )
@@ -86,10 +84,9 @@ type degreeEntry struct {
 }
 
 var (
-	// degreeCache and graphCache memoize what one GraphSpec generates.
+	// degreeCache memoizes the degree sequence one GraphSpec generates.
 	// Single-stripe: exact LRU, and the entries are few and expensive.
 	degreeCache = memo.New[GraphSpec, degreeEntry](maxGraphCacheEntries, 1, nil)
-	graphCache  = memo.New[GraphSpec, *graph.Graph](maxGraphCacheEntries, 1, nil)
 
 	// estimateCache memoizes Monte-Carlo maxᵢEᵢ estimates process-wide, so
 	// identical estimates are computed exactly once across all sweep cells,
@@ -102,8 +99,6 @@ var (
 type CacheStats struct {
 	// Degrees counts generated degree sequences (GraphDegreesCtx).
 	Degrees memo.Stats
-	// Graphs counts materialized graphs (BuildGraph).
-	Graphs memo.Stats
 	// Estimates counts Monte-Carlo maxᵢEᵢ kernels (GraphInferenceModelCtx) —
 	// the hot one: its misses are the number of distinct estimations
 	// actually performed.
@@ -126,8 +121,7 @@ func (s CacheStats) Report() string {
 		s.Estimates.Hits, s.Estimates.Misses, 100*s.Estimates.HitRatio(), s.Estimates.Evictions)
 	fmt.Fprintf(&b, "stats: kernel computes: %d batched passes filling %d estimates, %d single\n",
 		s.KernelBatches, s.KernelBatchKeys, s.KernelSingles)
-	fmt.Fprintf(&b, "stats: graph caches: degrees %d hits / %d misses, graphs %d hits / %d misses\n",
-		s.Degrees.Hits, s.Degrees.Misses, s.Graphs.Hits, s.Graphs.Misses)
+	fmt.Fprintf(&b, "stats: degree cache: %d hits / %d misses\n", s.Degrees.Hits, s.Degrees.Misses)
 	return b.String()
 }
 
@@ -203,7 +197,6 @@ func KernelComputeTime() time.Duration {
 func SnapshotCaches() CacheStats {
 	return CacheStats{
 		Degrees:         degreeCache.Stats(),
-		Graphs:          graphCache.Stats(),
 		Estimates:       estimateCache.Stats(),
 		KernelBatches:   kernelBatches.Load(),
 		KernelBatchKeys: kernelBatchKeys.Load(),
@@ -211,13 +204,12 @@ func SnapshotCaches() CacheStats {
 	}
 }
 
-// ResetCaches empties every process-wide cache — degree sequences,
-// materialized graphs and Monte-Carlo estimates — and zeroes their
-// counters, so tests and benchmarks measure a fully cold state rather than
-// a half-warm one. Evaluation never needs it.
+// ResetCaches empties every process-wide cache — degree sequences and
+// Monte-Carlo estimates — and zeroes their counters, so tests and
+// benchmarks measure a fully cold state rather than a half-warm one.
+// Evaluation never needs it.
 func ResetCaches() {
 	degreeCache.Reset()
-	graphCache.Reset()
 	estimateCache.Reset()
 	kernelComputeNanos.Store(0)
 	kernelBatches.Store(0)

@@ -495,15 +495,13 @@ func graphDegrees(ctx context.Context, s GraphSpec) (degreeEntry, error) {
 }
 
 // BuildGraph materializes the described graph for algorithms that need the
-// edges, not just the degrees. Like GraphDegreesCtx it caches by spec; the
-// returned graph is shared and must not be mutated.
+// edges, not just the degrees. Unlike GraphDegreesCtx it does not cache:
+// dmls-bp, its one caller, builds one graph per process.
 func BuildGraph(s GraphSpec) (*graph.Graph, error) {
 	if err := validateGraph(s); err != nil {
 		return nil, err
 	}
-	return graphCache.Do(s, func() (*graph.Graph, error) {
-		return graphFamilies[s.Family].build(s)
-	})
+	return graphFamilies[s.Family].build(s)
 }
 
 // GraphFamilies returns the registered graph families in stable order.

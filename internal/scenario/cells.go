@@ -303,11 +303,10 @@ func (cs *CellSet) At(i int) Cell {
 	return c
 }
 
-// Next returns a sequential pull iterator over the cells. The returned
-// closure is not safe for concurrent use — streaming evaluators serialize
-// pulls themselves (core.EvaluateStreamCtx), which is what keeps cell dedup
-// deterministic: the first registrant of a model key is always the
-// lowest-indexed cell.
+// Next returns a sequential pull iterator over the cells; the returned
+// closure is not safe for concurrent use. Both verbs index cells with At
+// instead; Next stays only because the benchmark module compiles against
+// it.
 func (cs *CellSet) Next() func() (Cell, bool) {
 	i := 0
 	return func() (Cell, bool) {

@@ -183,7 +183,7 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 
 // TestEvaluateSuiteStreamingBitIdentical pins the streaming evaluation to
 // itself across parallelism: results at -parallel 1 and at GOMAXPROCS are
-// bit-identical, dedup flags included.
+// bit-identical.
 func TestEvaluateSuiteStreamingBitIdentical(t *testing.T) {
 	s := sweepSuite()
 	want, stats, err := EvaluateSuiteStatsCtx(context.Background(), s, 1)
@@ -202,9 +202,9 @@ func TestEvaluateSuiteStreamingBitIdentical(t *testing.T) {
 	}
 	for i := range want {
 		w, g := want[i], got[i]
-		if g.Scenario.Name != w.Scenario.Name || g.Deduped != w.Deduped || (g.Err == nil) != (w.Err == nil) {
-			t.Fatalf("result %d: {%s dedup=%v err=%v} vs {%s dedup=%v err=%v}",
-				i, g.Scenario.Name, g.Deduped, g.Err, w.Scenario.Name, w.Deduped, w.Err)
+		if g.Scenario.Name != w.Scenario.Name || (g.Err == nil) != (w.Err == nil) {
+			t.Fatalf("result %d: {%s err=%v} vs {%s err=%v}",
+				i, g.Scenario.Name, g.Err, w.Scenario.Name, w.Err)
 		}
 		if w.Err != nil {
 			continue

@@ -134,11 +134,10 @@ func (s Scenario) Workers() []int {
 // dropped (sweep cells differ in label even when they describe the same
 // model), the legacy scaling alias folds into the canonical family, the
 // worker bound resolves to its default, and the convergence block is
-// dropped (per-iteration evaluation ignores it). Suite evaluation
-// deduplicates cells with equal keys, and the planner's refinement pass
-// uses it to avoid re-synthesizing a grid point it already holds.
-// Scenarios that do not resolve return "" and are never deduplicated, so
-// each reports its own error.
+// dropped (per-iteration evaluation ignores it). The planner's refinement
+// pass uses it to avoid re-synthesizing a grid point it already holds.
+// Scenarios that do not resolve return "", which it never treats as a
+// duplicate, so each reports its own error.
 func (s Scenario) EvalKey() string {
 	if s.Name == "" || s.MaxWorkers < 0 {
 		return ""

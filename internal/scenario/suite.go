@@ -125,29 +125,26 @@ type Result struct {
 	PeakSpeedup float64
 	// Err records why this scenario failed.
 	Err error
-	// Deduped marks a curve served by relabeling an identical cell's curve
-	// instead of its own evaluation; the values are bit-identical either
-	// way, and the points are shared read-only with the evaluated cell.
-	Deduped bool
 }
 
 // EvalStats summarizes one suite-evaluation pass: how many cells the suite
-// expanded to, how many models were actually evaluated versus served by
-// curve dedup, and where the evaluated wall time went (summed across cells,
-// so under parallel evaluation the two durations add up to more than the
-// elapsed time).
+// expanded to, how they ended, and where the evaluated wall time went
+// (summed across cells, so under parallel evaluation the two durations add
+// up to more than the elapsed time).
 type EvalStats struct {
-	// Scenarios is the number of cells: Evaluated + CurvesDeduped + Failed
-	// + Cancelled, plus ResumedCells on sweeps and Pruned on plans.
+	// Scenarios is the number of cells: Evaluated + Failed + Cancelled,
+	// plus ResumedCells on sweeps and Pruned on plans.
 	Scenarios int
 	// Evaluated counts cells that built and sampled their own model
 	// successfully.
 	Evaluated int
-	// CurvesDeduped counts cells served from an identical cell's curve.
+	// CurvesDeduped is always 0: every cell evaluates its own model, and
+	// the process-wide kernel cache already shares the one expensive
+	// input, the Monte-Carlo estimate. The field stays only because the
+	// benchmark module compiles against it.
 	CurvesDeduped int
-	// Failed counts cells whose own evaluation errored (duplicates of a
-	// failed cell re-evaluate individually, so each failure counts here).
-	// Cancelled cells are counted separately.
+	// Failed counts cells whose evaluation errored. Cancelled cells are
+	// counted separately.
 	Failed int
 	// Cancelled counts cells abandoned because the evaluation context was
 	// cancelled or its deadline expired (their Result.Err wraps the context
@@ -247,9 +244,9 @@ func EvaluateSuiteStatsCtx(ctx context.Context, s Suite, parallelism int) ([]Res
 }
 
 // Checkpoint lets a suite evaluation replay completed cells from a prior
-// (crashed) run and persist newly completed ones as they finish. Lookup
-// runs on the serialized cell-pull path; Save runs concurrently from
-// evaluation workers and must synchronize internally.
+// (crashed) run and persist newly completed ones as they finish. Lookup and
+// Save both run concurrently from evaluation workers and must synchronize
+// internally.
 type Checkpoint interface {
 	// Lookup returns the journaled record for the cell at index (whose
 	// expanded name is name), if one exists. Implementations must only
@@ -266,16 +263,12 @@ type Checkpoint interface {
 // GOMAXPROCS), plus the pass's evaluation stats; parallelism caps the
 // suite-level workers within that budget, ≤ 0 meaning no extra cap. Scenario
 // errors isolate: a bad grid point yields a Result with Err set and the rest
-// of the suite completes. Cells that describe the same model under different
-// labels — equal canonical inputs, i.e. the scenario minus its name and
-// convergence block — are evaluated once and fanned out (see
-// Result.Deduped).
+// of the suite completes.
 //
-// Cells are pulled lazily through core.EvaluateStreamCtx, so grids up to
-// MaxStreamCells evaluate in one pass and the job list is never held whole.
-// Pulls are serialized in index order, so the representative of every model
-// key is its first occurrence and results are bit-identical at any
-// parallelism.
+// Cells fan out through core.ForEachCtx, the planner's fan-out too: each
+// worker materializes one cell at a time (CellSet.At), so grids up to
+// MaxStreamCells evaluate in one pass without the cell list ever being held
+// whole, and results are bit-identical at any parallelism.
 //
 // Cancellation yields deterministic partial results: every cell still gets
 // exactly one Result — cells evaluated before ctx fired are bit-identical to
@@ -285,83 +278,79 @@ type Checkpoint interface {
 // what completed.
 //
 // With a non-nil cp, cells Lookup finds are replayed as finished results —
-// never re-evaluated, counted in EvalStats.ResumedCells — and every newly
-// successful cell is handed to Save, so a later resume skips it too.
-// Replayed results are bit-identical to what the original run computed (the
-// journal stores full curves, and every model is deterministic), so an
-// interrupted-then-resumed run merges to the same bytes as an uninterrupted
-// one. A replayed cell does not register its dedup key — duplicates of it
-// evaluate individually, trading a little recompute for never trusting a
-// curve the journal cannot vouch for.
+// never re-evaluated, counted in EvalStats.ResumedCells, cancelled run or
+// not — and every newly successful cell is handed to Save, so a later resume
+// skips it too. Replayed results are bit-identical to what the original run
+// computed (the journal stores full curves, and every model is
+// deterministic), so an interrupted-then-resumed run merges to the same
+// bytes as an uninterrupted one.
 func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, cp Checkpoint) ([]Result, EvalStats, error) {
 	cs, err := s.Cells()
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
+	n := cs.Len()
 	ctx, span := obs.Start(ctx, "suite")
 	span.SetString("suite", s.Name)
-	span.SetInt("cells", int64(cs.Len()))
+	span.SetInt("cells", int64(n))
 	defer span.End()
 	kernelBefore := registry.KernelComputeTime()
 	retriesBefore := resilience.TotalRetries()
-	evaluated := make([]core.JobResult, cs.Len())
-	var resumed map[int]ResultRecord
+	results := make([]Result, n)
+	evaluated := make([]core.JobResult, n)
+	var resumed []bool
 	if cp != nil {
-		resumed = make(map[int]ResultRecord)
+		resumed = make([]bool, n)
 	}
-	pull := cs.Next()
-	// next runs under the stream's pull lock, so the resumed map needs no
-	// further synchronization.
-	next := func() (core.StreamJob, bool) {
-		for {
-			c, ok := pull()
-			if !ok {
-				return core.StreamJob{}, false
-			}
-			sc := c.Scenario
-			if cp != nil {
-				if rec, ok := cp.Lookup(c.Index, sc.Name); ok && rec.Error == "" {
-					resumed[c.Index] = rec
-					continue
-				}
-			}
-			return core.StreamJob{Index: c.Index, Job: core.Job{
-				Name:     sc.Name,
-				BuildCtx: sc.ModelCtx,
-				Workers:  sc.Workers(),
-				Key:      sc.EvalKey(),
-			}}, true
+	// replay serves cell i from the journal when cp holds a successful
+	// record of it.
+	replay := func(i int, sc Scenario) bool {
+		if cp == nil {
+			return false
 		}
+		rec, ok := cp.Lookup(i, sc.Name)
+		if !ok || rec.Error != "" {
+			return false
+		}
+		results[i] = resultFromRecord(sc, rec)
+		resumed[i] = true
+		return true
 	}
-	core.EvaluateStreamCtx(ctx, next, parallelism, func(i int, res core.JobResult) {
-		evaluated[i] = res
-		if cp != nil && res.Err == nil {
-			cp.Save(i, res.Name, recordOne(Result{
-				Scenario:    cs.At(i).Scenario,
-				Curve:       res.Curve,
-				OptimalN:    optimalOf(res.Curve).N,
-				PeakSpeedup: optimalOf(res.Curve).Speedup,
-			}))
+	ran := core.ForEachCtx(ctx, n, parallelism, func(i int) {
+		sc := cs.At(i).Scenario
+		if replay(i, sc) {
+			return
+		}
+		ev := core.EvaluateOne(ctx, core.Job{Name: sc.Name, BuildCtx: sc.ModelCtx, Workers: sc.Workers()})
+		evaluated[i] = ev
+		results[i] = Result{Scenario: sc, Curve: ev.Curve, Err: ev.Err}
+		if ev.Err != nil {
+			return
+		}
+		if peak, ok := ev.Curve.Peak(); ok {
+			results[i].OptimalN = peak.N
+			results[i].PeakSpeedup = peak.Speedup
+		}
+		if cp != nil {
+			cp.Save(i, sc.Name, recordOne(results[i]))
 		}
 	})
-	results := make([]Result, cs.Len())
-	stats := EvalStats{Scenarios: cs.Len()}
+	// ctx fired before the cells past the prefix were reached: journaled
+	// ones still replay, the rest are cancelled.
+	for i := ran; i < n; i++ {
+		sc := cs.At(i).Scenario
+		if !replay(i, sc) {
+			evaluated[i] = core.CancelledResult(sc.Name, ctx.Err())
+			results[i] = Result{Scenario: sc, Err: evaluated[i].Err}
+		}
+	}
+	stats := EvalStats{Scenarios: n}
 	for i, ev := range evaluated {
-		if rec, ok := resumed[i]; ok {
-			results[i] = resultFromRecord(cs.At(i).Scenario, rec)
+		if resumed != nil && resumed[i] {
 			stats.ResumedCells++
 			continue
 		}
-		res := Result{Scenario: cs.At(i).Scenario, Curve: ev.Curve, Err: ev.Err, Deduped: ev.Deduped}
-		if ev.Err == nil {
-			if peak, ok := ev.Curve.Peak(); ok {
-				res.OptimalN = peak.N
-				res.PeakSpeedup = peak.Speedup
-			}
-		}
 		switch {
-		case ev.Deduped:
-			stats.CurvesDeduped++
 		case ev.IsCancelled():
 			stats.Cancelled++
 		case ev.Err != nil:
@@ -377,19 +366,10 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 			Build:  ev.BuildTime,
 			Sample: ev.SampleTime,
 		})
-		results[i] = res
 	}
 	stats.KernelComputeTime = registry.KernelComputeTime() - kernelBefore
 	stats.Retried = int(resilience.TotalRetries() - retriesBefore)
 	return results, stats, ctx.Err()
-}
-
-// optimalOf summarizes a curve's peak (zero Point when empty).
-func optimalOf(c core.Curve) core.Point {
-	if peak, ok := c.Peak(); ok {
-		return peak
-	}
-	return core.Point{}
 }
 
 // DecodeSuite reads a suite from JSON. A file holding a single scenario is

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"dmlscale/internal/core"
 	"dmlscale/internal/registry"
 )
 
@@ -251,11 +254,11 @@ func TestEvaluateSuiteConcurrently(t *testing.T) {
 	}
 }
 
-// TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder: cells that describe the
-// same model under different labels — including through the legacy scaling
-// alias — are evaluated once and fanned out, wherever they appear in the
-// suite, bit-identical to evaluating each on its own.
-func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
+// TestEvaluateSuiteIdenticalCellsAgree: cells that describe the same model
+// under different labels — including through the legacy scaling alias —
+// each evaluate to the same curve under their own name, wherever they
+// appear in the suite, bit-identical to evaluating each on its own.
+func TestEvaluateSuiteIdenticalCellsAgree(t *testing.T) {
 	base := Fig2() // Scaling: "strong", Workload.Family empty
 	a := base
 	a.Name = "cell a"
@@ -268,31 +271,28 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 	alias.Name = "cell a via family"
 	alias.Scaling = ""
 	alias.Workload.Family = "gd-strong"
-	suite := Suite{Name: "dedup", Scenarios: []Scenario{a, distinct, a2, alias}}
+	suite := Suite{Name: "same model", Scenarios: []Scenario{a, distinct, a2, alias}}
 	results, stats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Scenarios != 4 || stats.Evaluated != 2 || stats.CurvesDeduped != 2 {
-		t.Errorf("stats = %+v, want 4 cells, 2 evaluated, 2 deduped", stats)
+	if stats.Scenarios != 4 || stats.Evaluated != 4 || stats.CurvesDeduped != 0 {
+		t.Errorf("stats = %+v, want 4 cells, 4 evaluated, 0 deduped", stats)
 	}
-	for i, want := range []bool{false, false, true, true} {
-		if results[i].Err != nil {
-			t.Fatalf("%s: %v", results[i].Scenario.Name, results[i].Err)
+	for _, res := range results {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.Scenario.Name, res.Err)
 		}
-		if results[i].Deduped != want {
-			t.Errorf("%s: Deduped = %v, want %v", results[i].Scenario.Name, results[i].Deduped, want)
+		if res.Curve.Name != res.Scenario.Name {
+			t.Errorf("curve labeled %q, want its own name %q", res.Curve.Name, res.Scenario.Name)
 		}
 	}
 	for _, i := range []int{2, 3} {
-		if results[i].Curve.Name != results[i].Scenario.Name {
-			t.Errorf("deduped curve labeled %q, want its own name %q", results[i].Curve.Name, results[i].Scenario.Name)
-		}
 		if !reflect.DeepEqual(results[i].Curve.Points, results[0].Curve.Points) {
-			t.Errorf("%s: deduped curve differs from the evaluated one", results[i].Scenario.Name)
+			t.Errorf("%s: curve differs from the same model's %q", results[i].Scenario.Name, a.Name)
 		}
 		if results[i].OptimalN != results[0].OptimalN || results[i].PeakSpeedup != results[0].PeakSpeedup {
-			t.Errorf("%s: deduped summary differs", results[i].Scenario.Name)
+			t.Errorf("%s: summary differs from the same model's", results[i].Scenario.Name)
 		}
 	}
 	// Bit-identity with a standalone evaluation of the duplicate.
@@ -301,7 +301,7 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(solo[0].Curve.Points, results[2].Curve.Points) {
-		t.Error("deduped curve differs from standalone evaluation")
+		t.Error("curve differs from standalone evaluation")
 	}
 }
 
@@ -338,7 +338,7 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 		t.Errorf("warm pass re-estimated: misses %d → %d", missesAfterCold, got)
 	}
 	if coldStats.Evaluated != 4 || warmStats.Evaluated != 4 {
-		t.Errorf("grid cells deduped unexpectedly: cold %+v, warm %+v", coldStats, warmStats)
+		t.Errorf("grid cells not all evaluated: cold %+v, warm %+v", coldStats, warmStats)
 	}
 	for i := range cold {
 		if cold[i].Err != nil || warm[i].Err != nil {
@@ -347,6 +347,96 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(cold[i].Curve.Points, warm[i].Curve.Points) {
 			t.Errorf("%s: warm curve differs from cold", cold[i].Scenario.Name)
 		}
+	}
+}
+
+// TestEvaluateSuiteAllocs pins the allocations of one warm one-cell suite
+// on the sweep path: the fan-out, the cell's model build and curve sampling,
+// and the stats fold. Parallelism is 1 because intra-curve sampling spawns
+// goroutines whenever the budget has tokens. AllocsPerRun's warm-up call
+// fills the caches, so the graph cell reads its degree sequence and
+// Monte-Carlo estimates from them.
+func TestEvaluateSuiteAllocs(t *testing.T) {
+	core.SetParallelism(1)
+	defer core.SetParallelism(0)
+	for _, tc := range []struct {
+		sc  Scenario
+		pin float64
+	}{{Fig2(), 32}, {Fig4(), 55}} {
+		suite := Suite{Name: "allocs", Scenarios: []Scenario{tc.sc}}
+		allocs := testing.AllocsPerRun(20, func() {
+			results, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if results[0].Err != nil {
+				t.Fatal(results[0].Err)
+			}
+		})
+		if allocs > tc.pin {
+			t.Errorf("%s: one warm one-cell suite allocated %.0f objects, pinned at %.0f", tc.sc.Name, allocs, tc.pin)
+		}
+	}
+}
+
+// memCheckpoint is an in-memory Checkpoint over a fixed journal; it counts
+// the cells handed to Save.
+type memCheckpoint struct {
+	cells map[int]ResultRecord
+	saves atomic.Int32
+}
+
+func (m *memCheckpoint) Lookup(index int, name string) (ResultRecord, bool) {
+	rec, ok := m.cells[index]
+	return rec, ok && rec.Scenario == name
+}
+
+func (m *memCheckpoint) Save(int, string, ResultRecord) {
+	m.saves.Add(1)
+}
+
+// TestEvaluateSuiteCancelledReplaysJournal: a run whose ctx is already
+// cancelled evaluates nothing, yet every cell the checkpoint holds still
+// comes back resumed with the journal's curve; only the others come back
+// cancelled.
+func TestEvaluateSuiteCancelledReplaysJournal(t *testing.T) {
+	suite := testSuite()
+	full, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &memCheckpoint{cells: make(map[int]ResultRecord)}
+	for i := 0; i < len(full); i += 2 {
+		if full[i].Err != nil {
+			t.Fatalf("%s: %v", full[i].Scenario.Name, full[i].Err)
+		}
+		cp.cells[i] = recordOne(full[i])
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, stats, err := EvaluateSuiteCheckpointCtx(ctx, suite, 0, cp)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(results) != len(full) {
+		t.Fatalf("%d results for %d cells", len(results), len(full))
+	}
+	if stats.ResumedCells != len(cp.cells) || stats.Cancelled != len(full)-len(cp.cells) || stats.Evaluated != 0 {
+		t.Errorf("stats = %+v, want %d resumed and %d cancelled", stats, len(cp.cells), len(full)-len(cp.cells))
+	}
+	for i, res := range results {
+		rec, journaled := cp.cells[i]
+		switch {
+		case journaled && res.Err != nil:
+			t.Errorf("%s: journaled cell not replayed: %v", res.Scenario.Name, res.Err)
+		case journaled && !reflect.DeepEqual(recordOne(res), rec):
+			t.Errorf("%s: replayed %+v, journal holds %+v", res.Scenario.Name, recordOne(res), rec)
+		case !journaled && !errors.Is(res.Err, context.Canceled):
+			t.Errorf("%s: err = %v, want cancelled", res.Scenario.Name, res.Err)
+		}
+	}
+	if n := cp.saves.Load(); n != 0 {
+		t.Errorf("a cancelled run saved %d cells", n)
 	}
 }
 
@@ -362,7 +452,7 @@ func TestEvaluateSuiteIsolatesBadScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Failed != 1 || stats.Evaluated+stats.CurvesDeduped+stats.Failed != stats.Scenarios {
+	if stats.Failed != 1 || stats.Evaluated+stats.Failed != stats.Scenarios {
 		t.Errorf("stats = %+v, want exactly one failed cell and a reconciling total", stats)
 	}
 	failed := 0

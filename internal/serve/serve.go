@@ -217,7 +217,6 @@ func (s *Server) registerMetrics() {
 		return func() float64 { return pick(registry.SnapshotCaches()) }
 	}
 	s.set.NewGauge("dmls_kernel_cache_hit_ratio", "Monte-Carlo estimate cache hit ratio since process start (0 when unused).", cacheGauge(func(cs registry.CacheStats) float64 { return cs.Estimates.HitRatio() }))
-	s.set.NewGauge("dmls_graph_cache_hit_ratio", "Materialized-graph cache hit ratio since process start (0 when unused).", cacheGauge(func(cs registry.CacheStats) float64 { return cs.Graphs.HitRatio() }))
 	s.set.NewGauge("dmls_kernel_cache_entries", "Entries resident in the Monte-Carlo estimate cache.", cacheGauge(func(cs registry.CacheStats) float64 { return float64(cs.Estimates.Entries) }))
 }
 
@@ -421,7 +420,6 @@ type accessEntry struct {
 	DurationMS float64 `json:"duration_ms"`
 	Cells      int     `json:"cells,omitempty"`
 	Evaluated  int     `json:"evaluated,omitempty"`
-	Deduped    int     `json:"deduped,omitempty"`
 	Pruned     int     `json:"pruned,omitempty"`
 	Cancelled  int     `json:"cancelled,omitempty"`
 	BuildMS    float64 `json:"build_ms,omitempty"`
@@ -472,7 +470,6 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 	if ri.statsSet {
 		entry.Cells = ri.stats.Scenarios
 		entry.Evaluated = ri.stats.Evaluated
-		entry.Deduped = ri.stats.CurvesDeduped
 		entry.Pruned = ri.stats.Pruned
 		entry.Cancelled = ri.stats.Cancelled
 		entry.BuildMS = ms(ri.stats.BuildTime)
