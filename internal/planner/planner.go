@@ -25,8 +25,10 @@
 package planner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -323,33 +325,47 @@ func frontierEligible(p *Plan) bool {
 // Fallback plans stay off the frontier — their times are per-iteration and
 // not comparable to times-to-accuracy — and so do pruned and over-budget
 // plans, whose zero or unconstrained optima are not recommendations.
+//
+// It sorts the eligible plans by (time, cost) and sweeps them once: a plan
+// is dominated exactly when a faster plan costs no more, or an equally fast
+// one costs less. A NaN coordinate compares false both ways, so such a plan
+// is on the frontier and dominates nothing.
 func markPareto(plans []Plan) {
+	idx := make([]int, 0, len(plans))
 	for i := range plans {
 		p := &plans[i]
 		if !frontierEligible(p) {
 			continue
 		}
-		dominated := false
-		for j := range plans {
-			q := &plans[j]
-			if i == j || !frontierEligible(q) {
-				continue
-			}
-			if Dominates(q.Optimal, p.Optimal) {
-				dominated = true
+		if math.IsNaN(float64(p.Optimal.Time)) || math.IsNaN(p.Optimal.Cost) {
+			p.Pareto = true
+			continue
+		}
+		idx = append(idx, i)
+	}
+	at := func(i int) (float64, float64) { return float64(plans[i].Optimal.Time), plans[i].Optimal.Cost }
+	slices.SortFunc(idx, func(a, b int) int {
+		ta, ca := at(a)
+		tb, cb := at(b)
+		return cmp.Or(cmp.Compare(ta, tb), cmp.Compare(ca, cb))
+	})
+	// cheapest is the lowest cost among the plans faster than the run of
+	// equal times that starts at start; a run's own lowest cost is its
+	// first.
+	var cheapest float64
+	for start, end := 0, 0; start < len(idx); start = end {
+		t, runCheapest := at(idx[start])
+		for end = start; end < len(idx); end++ {
+			te, c := at(idx[end])
+			if te != t {
 				break
 			}
+			plans[idx[end]].Pareto = c == runCheapest && (start == 0 || c < cheapest)
 		}
-		p.Pareto = !dominated
+		if start == 0 || runCheapest < cheapest {
+			cheapest = runCheapest
+		}
 	}
-}
-
-// Dominates reports whether configuration a is at least as good as b on both
-// time and cost and strictly better on one — the frontier relation used by
-// markPareto and the adaptive pruning pass.
-func Dominates(a, b Point) bool {
-	at, bt := float64(a.Time), float64(b.Time)
-	return at <= bt && a.Cost <= b.Cost && (at < bt || a.Cost < b.Cost)
 }
 
 // rankPlans orders plans in tiers — convergence-aware, per-iteration

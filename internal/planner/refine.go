@@ -55,13 +55,15 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 			rspan.End()
 			stats.RefineTime += time.Since(roundStart)
 		}
-		eligible := make([]int, 0, len(plans))
+		// Flagging here is safe: the suite's final markPareto sets every
+		// eligible plan's flag again, refined plans included.
+		markPareto(plans)
+		var members []int
 		for i := range plans {
-			if frontierEligible(&plans[i]) {
-				eligible = append(eligible, i)
+			if frontierEligible(&plans[i]) && plans[i].Pareto {
+				members = append(members, i)
 			}
 		}
-		members := frontierMembers(plans, eligible)
 
 		// The neighbor lists span every cell in the pass — declared and
 		// refined — so each round halves the local gap instead of
@@ -106,7 +108,7 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 		// as any declared cell.
 		coarse := func() *Frontier {
 			var f Frontier
-			for _, i := range eligible {
+			for _, i := range members {
 				f.Insert(float64(plans[i].Optimal.Time), plans[i].Optimal.Cost)
 			}
 			return &f
@@ -137,25 +139,6 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 		endRound(len(cand))
 	}
 	return plans
-}
-
-// frontierMembers returns the indices (ascending) of the eligible plans no
-// other eligible plan dominates — the current cost×time frontier.
-func frontierMembers(plans []Plan, eligible []int) []int {
-	var out []int
-	for _, i := range eligible {
-		dominated := false
-		for _, j := range eligible {
-			if i != j && Dominates(plans[j].Optimal, plans[i].Optimal) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // axisValues collects the distinct swept values of the two numeric axes

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -13,7 +12,8 @@ import (
 
 // ResultRecord is the flat, serializable form of one suite Result — the
 // machine-readable export deployment tools consume instead of the ASCII
-// tables.
+// tables. writeSuiteJSON lists its fields by hand, so a field added here
+// goes there too (TestJSONWritersMatchEncodingJSON fails until it does).
 type ResultRecord struct {
 	// Scenario echoes the expanded scenario's name.
 	Scenario string `json:"scenario"`
@@ -93,17 +93,77 @@ func resultFromRecord(sc Scenario, rec ResultRecord) Result {
 }
 
 // WriteResultsJSON writes the suite's evaluated results as one indented JSON
-// document (SuiteReport).
+// document (SuiteReport), byte-identical to encoding/json's two-space
+// indented output with a final newline. It flattens one result at a time
+// and streams the document to w in chunks of about 64 KB, so it never holds
+// the whole document. A NaN or ±Inf anywhere in the results returns
+// encoding/json's error before anything is written.
 func WriteResultsJSON(w io.Writer, suiteName string, results []Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(SuiteReport{Suite: suiteName, Results: Records(results)})
+	for _, res := range results {
+		if err := finiteResult(res); err != nil {
+			return err
+		}
+	}
+	return writeSuiteJSON(w, suiteName, len(results), func(i int) ResultRecord { return recordOne(results[i]) })
+}
+
+// finiteResult returns encoding/json's error for the first NaN or ±Inf, in
+// document order, of the record recordOne makes from res.
+func finiteResult(res Result) error {
+	if res.Err != nil {
+		return nil
+	}
+	if err := finite(res.PeakSpeedup); err != nil {
+		return err
+	}
+	for _, p := range res.Curve.Points {
+		if err := finite(float64(p.Time)); err != nil {
+			return err
+		}
+	}
+	for _, p := range res.Curve.Points {
+		if err := finite(p.Speedup); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSuiteJSON streams a SuiteReport whose n records come from record, one
+// at a time. The results array is never null.
+func writeSuiteJSON(w io.Writer, suite string, n int, record func(i int) ResultRecord) error {
+	j := newJSONWriter(w)
+	j.open('{')
+	j.key("suite")
+	j.str(suite)
+	j.key("results")
+	j.open('[')
+	for i := range n {
+		rec := record(i)
+		j.next()
+		j.open('{')
+		j.key("scenario")
+		j.str(rec.Scenario)
+		j.optStr("family", rec.Family)
+		j.optInt("optimal_workers", rec.OptimalWorkers)
+		j.optFloat("peak_speedup", rec.PeakSpeedup)
+		j.optInts("workers", rec.Workers)
+		j.optFloats("times_seconds", rec.TimesSeconds)
+		j.optFloats("speedups", rec.Speedups)
+		j.optStr("error", rec.Error)
+		j.close('}')
+	}
+	j.close(']')
+	j.close('}')
+	return j.end()
 }
 
 // PlanRecord is the flat, serializable form of one planner recommendation —
 // the machine-readable counterpart of dmls-plan's ranked table. The planner
 // fills it; this package only defines the export shape so every on-disk
-// format the module emits lives in one place.
+// format the module emits lives in one place. WritePlansJSON lists its
+// fields by hand, so a field added here goes there too
+// (TestJSONWritersMatchEncodingJSON fails until it does).
 type PlanRecord struct {
 	// Rank is the 1-based position under the report's objective.
 	Rank int `json:"rank,omitempty"`
@@ -165,11 +225,76 @@ type PlanReport struct {
 	Plans     []PlanRecord `json:"plans"`
 }
 
-// WritePlansJSON writes a planner report as one indented JSON document.
+// WritePlansJSON writes a planner report as one indented JSON document,
+// byte-identical to encoding/json's two-space indented output with a final
+// newline. It streams the document to w in chunks of about 64 KB, so it
+// never holds the whole document. A NaN or ±Inf anywhere in the report
+// returns encoding/json's error before anything is written.
 func WritePlansJSON(w io.Writer, report PlanReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	for i := range report.Plans {
+		if err := finitePlan(&report.Plans[i]); err != nil {
+			return err
+		}
+	}
+	j := newJSONWriter(w)
+	j.open('{')
+	j.key("suite")
+	j.str(report.Suite)
+	j.key("objective")
+	j.str(report.Objective)
+	j.key("plans")
+	if report.Plans == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for i := range report.Plans {
+			r := &report.Plans[i]
+			j.next()
+			j.open('{')
+			j.optInt("rank", r.Rank)
+			j.key("scenario")
+			j.str(r.Scenario)
+			j.optStr("family", r.Family)
+			j.key("convergence_aware")
+			j.bool(r.ConvergenceAware)
+			j.optStr("rule", r.Rule)
+			j.optInt("optimal_workers", r.OptimalWorkers)
+			j.optFloat("iterations_to_accuracy", r.IterationsToAccuracy)
+			j.optFloat("time_seconds", r.TimeSeconds)
+			j.optFloat("cost_rate_per_node_hour", r.CostRatePerNodeHour)
+			j.optFloat("cost", r.Cost)
+			j.optBool("pareto", r.Pareto)
+			j.optBool("pruned", r.Pruned)
+			j.optFloat("bound_time_seconds", r.BoundTimeSeconds)
+			j.optFloat("bound_cost", r.BoundCost)
+			j.optBool("refined", r.Refined)
+			j.optBool("infeasible", r.Infeasible)
+			j.optStr("notice", r.Notice)
+			j.optInts("workers", r.Workers)
+			j.optFloats("times_seconds", r.TimesSeconds)
+			j.optFloats("iterations", r.Iterations)
+			j.optFloats("costs", r.Costs)
+			j.optStr("error", r.Error)
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.close('}')
+	return j.end()
+}
+
+// finitePlan returns encoding/json's error for the record's first NaN or
+// ±Inf, in document order.
+func finitePlan(r *PlanRecord) error {
+	if err := finite(r.IterationsToAccuracy, r.TimeSeconds, r.CostRatePerNodeHour, r.Cost, r.BoundTimeSeconds, r.BoundCost); err != nil {
+		return err
+	}
+	for _, xs := range [...][]float64{r.TimesSeconds, r.Iterations, r.Costs} {
+		if err := finite(xs...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WritePlansCSV writes one row per plan, in rank order:

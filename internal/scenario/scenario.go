@@ -218,9 +218,18 @@ func Decode(r io.Reader) (Scenario, error) {
 
 // Encode writes the scenario as indented JSON.
 func (s Scenario) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	return writeIndented(w, s)
+}
+
+// writeIndented writes v as a scenario or suite file: two-space indented
+// JSON and a final newline.
+func writeIndented(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // Load reads a scenario file.

@@ -417,9 +417,7 @@ func newStrictDecoder(raw []byte) *json.Decoder {
 
 // EncodeSuite writes the suite as indented JSON.
 func (s Suite) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	return writeIndented(w, s)
 }
 
 // LoadSuite reads a suite (or single-scenario) file.

@@ -81,8 +81,8 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte, ht
 }
 
 // TestHandlerAllocs pins the allocations of one request through the
-// in-process handler, on the kernel-free fixtures: 257 for the plan and
-// 329 for the sweep, the breaker's context value included. A change that
+// in-process handler, on the kernel-free fixtures: 241 for the plan and
+// 277 for the sweep, the breaker's context value included. A change that
 // allocates more per request fails here and must say why it pays.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -102,7 +102,7 @@ func TestHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		path, suite string
 		pin         float64
-	}{{"/v1/plan", planSuiteJSON, 257}, {"/v1/sweep", sweepSuiteJSON, 329}} {
+	}{{"/v1/plan", planSuiteJSON, 241}, {"/v1/sweep", sweepSuiteJSON, 277}} {
 		body := `{"suite": ` + tc.suite + `}`
 		allocs := testing.AllocsPerRun(20, func() {
 			rec := httptest.NewRecorder()
