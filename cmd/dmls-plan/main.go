@@ -135,7 +135,7 @@ func (v *plan) Render(w io.Writer, format string) error {
 	case "csv":
 		return scenario.WritePlansCSV(w, v.report.Export().Plans)
 	case "json":
-		return scenario.WritePlansJSON(w, v.report.Export())
+		return v.report.WriteJSON(w)
 	}
 	report := v.report
 	fmt.Fprintf(w, "suite: %s (%d scenarios, objective %s)\n\n", report.Suite, len(report.Plans), report.Objective)

@@ -28,6 +28,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"sort"
@@ -435,51 +436,82 @@ func (r Report) Export() scenario.PlanReport {
 		Objective: string(r.Objective),
 		Plans:     make([]scenario.PlanRecord, len(r.Plans)),
 	}
-	for i, p := range r.Plans {
-		rec := scenario.PlanRecord{
-			Rank:             p.Rank,
-			Scenario:         p.Scenario.Name,
-			Family:           p.Family,
-			ConvergenceAware: p.ConvergenceAware,
-			Rule:             p.Rule,
-			Refined:          p.Refined,
-			Infeasible:       p.Infeasible,
-			Notice:           p.Notice,
-		}
-		if p.Err != nil {
-			rec.Error = p.Err.Error()
-			out.Plans[i] = rec
-			continue
-		}
-		if p.Pruned {
-			rec.Pruned = true
-			rec.BoundTimeSeconds = float64(p.Bound.Time)
-			rec.BoundCost = p.Bound.Cost
-			rec.CostRatePerNodeHour = p.CostRate
-			out.Plans[i] = rec
-			continue
-		}
-		rec.OptimalWorkers = p.Optimal.Workers
-		rec.IterationsToAccuracy = p.Optimal.Iterations
-		rec.TimeSeconds = float64(p.Optimal.Time)
-		rec.CostRatePerNodeHour = p.CostRate
-		rec.Cost = p.Optimal.Cost
-		rec.Pareto = p.Pareto
-		rec.Workers = make([]int, len(p.Curve))
-		rec.TimesSeconds = make([]float64, len(p.Curve))
-		rec.Costs = make([]float64, len(p.Curve))
-		if p.ConvergenceAware {
-			rec.Iterations = make([]float64, len(p.Curve))
-		}
-		for j, pt := range p.Curve {
-			rec.Workers[j] = pt.Workers
-			rec.TimesSeconds[j] = float64(pt.Time)
-			rec.Costs[j] = pt.Cost
-			if p.ConvergenceAware {
-				rec.Iterations[j] = pt.Iterations
-			}
-		}
-		out.Plans[i] = rec
+	for i := range r.Plans {
+		r.Plans[i].record(&out.Plans[i])
 	}
 	return out
+}
+
+// WriteJSON writes the report as the JSON document scenario.WritePlansJSON
+// writes for Export's report, streaming it: each plan's record is filled
+// into one reused record, so no curve is copied into a record of its own.
+func (r Report) WriteJSON(w io.Writer) error {
+	var rec scenario.PlanRecord
+	return scenario.StreamPlansJSON(w, r.Suite, string(r.Objective), len(r.Plans), func(i int) scenario.PlanRecord {
+		r.Plans[i].record(&rec)
+		return rec
+	})
+}
+
+// record fills rec with the plan's export record. It keeps rec's curve
+// arrays and appends to them from length 0, so WriteJSON's one record
+// reuses them for every plan, and Export's zero records get arrays of
+// exactly the curve's length. A plan without a curve leaves them empty,
+// which omitempty drops like nil ones.
+func (p *Plan) record(rec *scenario.PlanRecord) {
+	*rec = scenario.PlanRecord{
+		Rank:             p.Rank,
+		Scenario:         p.Scenario.Name,
+		Family:           p.Family,
+		ConvergenceAware: p.ConvergenceAware,
+		Rule:             p.Rule,
+		Refined:          p.Refined,
+		Infeasible:       p.Infeasible,
+		Notice:           p.Notice,
+		Workers:          rec.Workers[:0],
+		TimesSeconds:     rec.TimesSeconds[:0],
+		Iterations:       rec.Iterations[:0],
+		Costs:            rec.Costs[:0],
+	}
+	if p.Err != nil {
+		rec.Error = p.Err.Error()
+		return
+	}
+	rec.CostRatePerNodeHour = p.CostRate
+	if p.Pruned {
+		rec.Pruned = true
+		rec.BoundTimeSeconds = float64(p.Bound.Time)
+		rec.BoundCost = p.Bound.Cost
+		return
+	}
+	rec.OptimalWorkers = p.Optimal.Workers
+	rec.IterationsToAccuracy = p.Optimal.Iterations
+	rec.TimeSeconds = float64(p.Optimal.Time)
+	rec.Cost = p.Optimal.Cost
+	rec.Pareto = p.Pareto
+	n := len(p.Curve)
+	rec.Workers = withRoom(rec.Workers, n)
+	rec.TimesSeconds = withRoom(rec.TimesSeconds, n)
+	rec.Costs = withRoom(rec.Costs, n)
+	for _, pt := range p.Curve {
+		rec.Workers = append(rec.Workers, pt.Workers)
+		rec.TimesSeconds = append(rec.TimesSeconds, float64(pt.Time))
+		rec.Costs = append(rec.Costs, pt.Cost)
+	}
+	if p.ConvergenceAware {
+		rec.Iterations = withRoom(rec.Iterations, n)
+		for _, pt := range p.Curve {
+			rec.Iterations = append(rec.Iterations, pt.Iterations)
+		}
+	}
+}
+
+// withRoom returns xs, which is empty, or a new empty slice when xs has no
+// room for n elements. Unlike slices.Grow it allocates exactly once under
+// the race detector too, so the allocation pins hold in both builds.
+func withRoom[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, 0, n)
+	}
+	return xs
 }

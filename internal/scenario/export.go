@@ -99,40 +99,44 @@ func resultFromRecord(sc Scenario, rec ResultRecord) Result {
 // the whole document. A NaN or ±Inf anywhere in the results returns
 // encoding/json's error before anything is written.
 func WriteResultsJSON(w io.Writer, suiteName string, results []Result) error {
+	floats := 0
 	for _, res := range results {
-		if err := finiteResult(res); err != nil {
+		n, err := finiteResult(res)
+		if err != nil {
 			return err
 		}
+		floats += n
 	}
-	return writeSuiteJSON(w, suiteName, len(results), func(i int) ResultRecord { return recordOne(results[i]) })
+	return writeSuiteJSON(w, suiteName, len(results), floats, func(i int) ResultRecord { return recordOne(results[i]) })
 }
 
-// finiteResult returns encoding/json's error for the first NaN or ±Inf, in
-// document order, of the record recordOne makes from res.
-func finiteResult(res Result) error {
+// finiteResult returns the number of floats in the record recordOne makes
+// from res, and encoding/json's error for the first NaN or ±Inf among them,
+// in document order.
+func finiteResult(res Result) (int, error) {
 	if res.Err != nil {
-		return nil
+		return 0, nil
 	}
 	if err := finite(res.PeakSpeedup); err != nil {
-		return err
+		return 0, err
 	}
 	for _, p := range res.Curve.Points {
 		if err := finite(float64(p.Time)); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for _, p := range res.Curve.Points {
 		if err := finite(p.Speedup); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return 1 + 2*len(res.Curve.Points), nil
 }
 
-// writeSuiteJSON streams a SuiteReport whose n records come from record, one
-// at a time. The results array is never null.
-func writeSuiteJSON(w io.Writer, suite string, n int, record func(i int) ResultRecord) error {
-	j := newJSONWriter(w)
+// writeSuiteJSON streams a SuiteReport whose n records, holding about floats
+// numbers, come from record one at a time. The results array is never null.
+func writeSuiteJSON(w io.Writer, suite string, n, floats int, record func(i int) ResultRecord) error {
+	j := newJSONWriter(w, floats)
 	j.open('{')
 	j.key("suite")
 	j.str(suite)
@@ -231,50 +235,73 @@ type PlanReport struct {
 // never holds the whole document. A NaN or ±Inf anywhere in the report
 // returns encoding/json's error before anything is written.
 func WritePlansJSON(w io.Writer, report PlanReport) error {
-	for i := range report.Plans {
-		if err := finitePlan(&report.Plans[i]); err != nil {
+	return writePlansJSON(w, report.Suite, report.Objective, len(report.Plans), report.Plans == nil,
+		func(i int) PlanRecord { return report.Plans[i] })
+}
+
+// StreamPlansJSON writes the document WritePlansJSON writes for a report of
+// n plans, with a plans array that is never null, without building the
+// report: it asks record for the i-th record when it needs it, twice per
+// plan (once to check and count the floats before the first byte, once to
+// write it), and is done with each record before it asks for the next. So
+// record must return the same record for the same i, and may return one
+// whose arrays it reuses for every plan.
+func StreamPlansJSON(w io.Writer, suite, objective string, n int, record func(i int) PlanRecord) error {
+	return writePlansJSON(w, suite, objective, n, false, record)
+}
+
+// writePlansJSON is the plan writer behind WritePlansJSON and
+// StreamPlansJSON; null writes the plans array as null, encoding/json's
+// form of a nil slice.
+func writePlansJSON(w io.Writer, suite, objective string, n int, null bool, record func(i int) PlanRecord) error {
+	floats := 0
+	for i := range n {
+		rec := record(i)
+		k, err := finitePlan(&rec)
+		if err != nil {
 			return err
 		}
+		floats += k
 	}
-	j := newJSONWriter(w)
+	j := newJSONWriter(w, floats)
 	j.open('{')
 	j.key("suite")
-	j.str(report.Suite)
+	j.str(suite)
 	j.key("objective")
-	j.str(report.Objective)
+	j.str(objective)
 	j.key("plans")
-	if report.Plans == nil {
+	if null {
 		j.null()
 	} else {
 		j.open('[')
-		for i := range report.Plans {
-			r := &report.Plans[i]
+		for i := range n {
+			rec := record(i)
 			j.next()
 			j.open('{')
-			j.optInt("rank", r.Rank)
+			j.optInt("rank", rec.Rank)
 			j.key("scenario")
-			j.str(r.Scenario)
-			j.optStr("family", r.Family)
+			j.str(rec.Scenario)
+			j.optStr("family", rec.Family)
 			j.key("convergence_aware")
-			j.bool(r.ConvergenceAware)
-			j.optStr("rule", r.Rule)
-			j.optInt("optimal_workers", r.OptimalWorkers)
-			j.optFloat("iterations_to_accuracy", r.IterationsToAccuracy)
-			j.optFloat("time_seconds", r.TimeSeconds)
-			j.optFloat("cost_rate_per_node_hour", r.CostRatePerNodeHour)
-			j.optFloat("cost", r.Cost)
-			j.optBool("pareto", r.Pareto)
-			j.optBool("pruned", r.Pruned)
-			j.optFloat("bound_time_seconds", r.BoundTimeSeconds)
-			j.optFloat("bound_cost", r.BoundCost)
-			j.optBool("refined", r.Refined)
-			j.optBool("infeasible", r.Infeasible)
-			j.optStr("notice", r.Notice)
-			j.optInts("workers", r.Workers)
-			j.optFloats("times_seconds", r.TimesSeconds)
-			j.optFloats("iterations", r.Iterations)
-			j.optFloats("costs", r.Costs)
-			j.optStr("error", r.Error)
+			j.bool(rec.ConvergenceAware)
+			j.optStr("rule", rec.Rule)
+			j.optInt("optimal_workers", rec.OptimalWorkers)
+			j.optFloat("iterations_to_accuracy", rec.IterationsToAccuracy)
+			j.optFloat("time_seconds", rec.TimeSeconds)
+			j.optFloat("cost_rate_per_node_hour", rec.CostRatePerNodeHour)
+			j.optFloat("cost", rec.Cost)
+			j.optBool("pareto", rec.Pareto)
+			j.optBool("pruned", rec.Pruned)
+			j.optFloat("bound_time_seconds", rec.BoundTimeSeconds)
+			j.optFloat("bound_cost", rec.BoundCost)
+			j.optBool("refined", rec.Refined)
+			j.optBool("infeasible", rec.Infeasible)
+			j.optStr("notice", rec.Notice)
+			j.optInts("workers", rec.Workers)
+			j.optFloats("times_seconds", rec.TimesSeconds)
+			j.optFloats("iterations", rec.Iterations)
+			j.optFloats("costs", rec.Costs)
+			j.optStr("error", rec.Error)
 			j.close('}')
 		}
 		j.close(']')
@@ -283,18 +310,18 @@ func WritePlansJSON(w io.Writer, report PlanReport) error {
 	return j.end()
 }
 
-// finitePlan returns encoding/json's error for the record's first NaN or
-// ±Inf, in document order.
-func finitePlan(r *PlanRecord) error {
+// finitePlan returns the number of floats in the record, and encoding/json's
+// error for the first NaN or ±Inf among them, in document order.
+func finitePlan(r *PlanRecord) (int, error) {
 	if err := finite(r.IterationsToAccuracy, r.TimeSeconds, r.CostRatePerNodeHour, r.Cost, r.BoundTimeSeconds, r.BoundCost); err != nil {
-		return err
+		return 0, err
 	}
 	for _, xs := range [...][]float64{r.TimesSeconds, r.Iterations, r.Costs} {
 		if err := finite(xs...); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return 6 + len(r.TimesSeconds) + len(r.Iterations) + len(r.Costs), nil
 }
 
 // WritePlansCSV writes one row per plan, in rank order:

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -16,10 +17,10 @@ const jsonChunk = 64 << 10
 // jsonWriter appends one JSON document in exactly the bytes encoding/json
 // writes with a two-space indent (json.MarshalIndent(v, "", "  ") and a
 // final newline), and passes them to w in chunks of about jsonChunk, so a
-// document of any size costs one buffer. The export writers call it field
-// by field, in struct-tag order, and apply omitempty themselves (the opt
-// methods). The first write error sticks: later writes are dropped and end
-// returns it.
+// document of any size costs one buffer, plus a float memo when the
+// document is large. The export writers call it field by field, in
+// struct-tag order, and apply omitempty themselves (the opt methods). The
+// first write error sticks: later writes are dropped and end returns it.
 type jsonWriter struct {
 	w     io.Writer
 	buf   []byte
@@ -29,12 +30,59 @@ type jsonWriter struct {
 	// the container is empty ({} and [] stay on one line).
 	first bool
 	err   error
+	// memo maps a float's bits to the text float wrote for it, so each
+	// distinct number of a large document is formatted about once; shift
+	// turns a hash into a slot index. Nil for small documents.
+	memo  []floatSlot
+	shift uint
 }
 
-func newJSONWriter(w io.Writer) *jsonWriter {
+// floatSlot is one entry of the float memo: the bits of a float and the
+// text float wrote for it. n is the text's length; 0 marks an empty slot,
+// since every text has at least one byte. 32 bytes a slot.
+type floatSlot struct {
+	bits uint64
+	n    uint8
+	text [23]byte
+}
+
+// minMemoFloats is the smallest document, in floats, that gets a memo. A
+// document of a few cells, each with a curve of its own, repeats few of
+// its numbers: the small served documents, of 129 to 1,144 floats, hit a
+// 2^10-slot memo 1–20% of the time and encode up to a fifth slower with it
+// than without. The documents measured from 2,064 floats up hit their memo
+// a third of the time or more and encode 10–38% faster with it.
+const minMemoFloats = 1 << 11
+
+// memoSlots sizes the float memo of a document holding floats numbers:
+// none below minMemoFloats, else about one slot per 16 floats, a power of
+// two clamped to [2^10, 2^16].
+func memoSlots(floats int) int {
+	if floats < minMemoFloats {
+		return 0
+	}
+	return 1 << min(max(bits.Len(uint(floats))-4, 10), 16)
+}
+
+// newJSONWriter returns a writer for a document of about floats numbers,
+// the count that sizes its float memo.
+func newJSONWriter(w io.Writer, floats int) *jsonWriter {
 	// The slack holds the element that crosses jsonChunk, so only a long
 	// string grows the buffer.
-	return &jsonWriter{w: w, buf: make([]byte, 0, jsonChunk+1<<10)}
+	j := &jsonWriter{w: w, buf: make([]byte, 0, jsonChunk+1<<10)}
+	if n := memoSlots(floats); n > 0 {
+		j.memo = make([]floatSlot, n)
+		j.shift = uint(64 - bits.Len(uint(n-1)))
+	}
+	return j
+}
+
+// slot returns the memo slot of a float with these bits. The index comes
+// from the magnitude's bits (the sign is shifted out before a Fibonacci
+// hash), so x and -x, 0 and -0 among them, share a slot, and only the full
+// bits stored in it tell them apart.
+func (j *jsonWriter) slot(b uint64) *floatSlot {
+	return &j.memo[(b<<1)*0x9e3779b97f4a7c15>>j.shift]
 }
 
 func (j *jsonWriter) flush() {
@@ -101,10 +149,34 @@ func (j *jsonWriter) null()       { j.buf = append(j.buf, "null"...) }
 func (j *jsonWriter) bool(b bool) { j.buf = strconv.AppendBool(j.buf, b) }
 func (j *jsonWriter) int(n int)   { j.buf = strconv.AppendInt(j.buf, int64(n), 10) }
 
-// float formats x as encoding/json does (ES6 number formatting): shortest
-// round-trip digits, exponent form outside [1e-6, 1e21), and no zero padding
-// in a negative exponent. x is finite; the callers check before writing.
+// float writes x as encoding/json does. With a memo, a float whose bits
+// are in its slot gets the stored text; any other is formatted and, when
+// its text fits, stored in the slot right away, before next can flush the
+// buffer the text sits in.
 func (j *jsonWriter) float(x float64) {
+	if j.memo == nil {
+		j.format(x)
+		return
+	}
+	b := math.Float64bits(x)
+	s := j.slot(b)
+	if s.n != 0 && s.bits == b {
+		j.buf = append(j.buf, s.text[:s.n]...)
+		return
+	}
+	start := len(j.buf)
+	j.format(x)
+	if n := len(j.buf) - start; n <= len(s.text) {
+		s.bits, s.n = b, uint8(n)
+		copy(s.text[:], j.buf[start:])
+	}
+}
+
+// format appends x as encoding/json formats it (ES6 number formatting):
+// shortest round-trip digits, exponent form outside [1e-6, 1e21), and no
+// zero padding in a negative exponent. x is finite; the callers check
+// before writing.
+func (j *jsonWriter) format(x float64) {
 	format := byte('f')
 	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"dmlscale/internal/core"
@@ -162,7 +163,11 @@ func compareSuite(t *testing.T, rep SuiteReport) {
 	t.Helper()
 	want, wantErr := reference(rep)
 	var got bytes.Buffer
-	gotErr := writeSuiteJSON(&got, rep.Suite, len(rep.Results), func(i int) ResultRecord { return rep.Results[i] })
+	floats := 0
+	for _, rec := range rep.Results {
+		floats += 1 + len(rec.TimesSeconds) + len(rec.Speedups)
+	}
+	gotErr := writeSuiteJSON(&got, rep.Suite, len(rep.Results), floats, func(i int) ResultRecord { return rep.Results[i] })
 	same(t, want, wantErr, got.Bytes(), gotErr)
 }
 
@@ -272,7 +277,72 @@ func FuzzJSONWriters(f *testing.F) {
 				Curve: core.Curve{Points: []core.Point{{N: 1, Time: units.Seconds(x), Speedup: -x}, {N: 2, Time: 1, Speedup: x}}}},
 			{Scenario: Scenario{Name: s}, Err: errors.New(s)},
 		})
+		// A document above the memo threshold, from x, -x and x's
+		// neighbours, repeated: their hits, misses and shared slots.
+		xs := []float64{x, -x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1))}
+		curve := make([]float64, 0, minMemoFloats)
+		for len(curve) < cap(curve) {
+			curve = append(curve, xs...)
+		}
+		comparePlans(t, PlanReport{Suite: s, Objective: s, Plans: []PlanRecord{{Scenario: s, TimeSeconds: x, TimesSeconds: curve}}})
 	})
+}
+
+// TestFloatMemoMatchesEncodingJSON writes large documents whose floats come
+// from a small pool, so most of them hit the float memo, and compares them
+// with encoding/json. The pool holds 0 and -0, which share a slot and differ
+// only in their bits; subnormals; both sides of the 1e-6 and 1e21 format
+// switches; texts too long for a slot; and two values forced into one slot,
+// which evict each other whenever they alternate. The larger document spans
+// dozens of chunks, so misses land right before flushes; the smaller is
+// just above minMemoFloats.
+func TestFloatMemoMatchesEncodingJSON(t *testing.T) {
+	// long formats to "-0.0000010000000000000002", 25 bytes.
+	long := -math.Nextafter(1e-6, 1)
+	if n := len(strconv.FormatFloat(long, 'f', -1, 64)); n <= len(floatSlot{}.text) {
+		t.Fatalf("%v formats to %d bytes, which fit a slot", long, n)
+	}
+	// a and b collide in the largest table, so in every smaller one too:
+	// a slot index is the top bits of the same hash.
+	j := newJSONWriter(io.Discard, 1<<30)
+	if len(j.memo) != 1<<16 {
+		t.Fatalf("largest memo has %d slots", len(j.memo))
+	}
+	a, b := 1.5, 1.5
+	for j.slot(math.Float64bits(b)) != j.slot(math.Float64bits(a)) || b == a {
+		b = math.Nextafter(b, 2)
+	}
+	pool := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310,
+		1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e21, math.Nextafter(1e21, 0), -1e21,
+		long, -long, math.Nextafter(long, 0), a, b, a, b, 3, 0.1, 1e-7, 123456.789,
+	}
+	r := rand.New(rand.NewPCG(20, 2026))
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = pool[r.IntN(len(pool))]
+		}
+		return xs
+	}
+	for _, plans := range []int{8, 300} {
+		rep := PlanReport{Suite: "memo", Objective: "tta", Plans: make([]PlanRecord, plans)}
+		suite := SuiteReport{Suite: "memo", Results: make([]ResultRecord, plans)}
+		for i := range plans {
+			f := draw(6)
+			rep.Plans[i] = PlanRecord{
+				Scenario: fmt.Sprint(i), IterationsToAccuracy: f[0], TimeSeconds: f[1], CostRatePerNodeHour: f[2],
+				Cost: f[3], BoundTimeSeconds: f[4], BoundCost: f[5],
+				Workers: []int{1}, TimesSeconds: draw(128), Iterations: draw(128), Costs: draw(128),
+			}
+			suite.Results[i] = ResultRecord{Scenario: fmt.Sprint(i), PeakSpeedup: f[0], TimesSeconds: draw(128), Speedups: draw(128)}
+		}
+		if floats := plans * (1 + 2*128); floats < minMemoFloats {
+			t.Fatalf("%d results hold %d floats, too few for a memo", plans, floats)
+		}
+		comparePlans(t, rep)
+		compareSuite(t, suite)
+	}
 }
 
 // allocReport is a plan report of n evaluated plans with 128-point curves.
@@ -295,11 +365,12 @@ func allocReport(n int) PlanReport {
 	return rep
 }
 
-// TestWritePlansJSONAllocs pins WritePlansJSON's allocations: one buffer per
-// document, none per plan or per number, so 10 and 1,000 plans cost the
-// same.
+// TestWritePlansJSONAllocs pins WritePlansJSON's allocations: one buffer
+// and one float memo per document (both fixtures hold well over
+// minMemoFloats numbers), none per plan or per number, so 10 and 1,000
+// plans cost the same.
 func TestWritePlansJSONAllocs(t *testing.T) {
-	const pin = 1
+	const pin = 2
 	for _, n := range []int{10, 1000} {
 		rep := allocReport(n)
 		allocs := testing.AllocsPerRun(3, func() {

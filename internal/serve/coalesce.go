@@ -51,8 +51,9 @@ func coalesceKey(route string, raw []byte) (string, bool) {
 }
 
 // responseBuffer captures a handler's full response — headers, status,
-// body — so a coalescing leader can both answer its own client and publish
-// the bytes for followers to replay.
+// body — so the client gets it only once the handler has returned, and a
+// coalescing leader can both answer its own client and publish the bytes
+// for followers to replay.
 type responseBuffer struct {
 	header http.Header
 	buf    bytes.Buffer
@@ -114,11 +115,18 @@ func (s *Server) coalesce(route string, h func(http.ResponseWriter, *http.Reques
 			writeError(w, http.StatusBadRequest, "bad %s request: read body: %v", route, err)
 			return
 		}
-		rewind := func() { r.Body = io.NopCloser(bytes.NewReader(raw)) }
+		// Every path runs the handler into a responseBuffer and writes it
+		// out only after the handler returns, so a panic or an encode
+		// error never leaves a half-written 200 on the wire.
+		run := func() *responseBuffer {
+			rec := newResponseBuffer()
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+			h(rec, r)
+			return rec
+		}
 		key, canonical := coalesceKey(route, raw)
 		if !canonical {
-			rewind()
-			h(w, r)
+			run().copyTo(w)
 			return
 		}
 		s.coal.mu.Lock()
@@ -149,8 +157,7 @@ func (s *Server) coalesce(route string, h func(http.ResponseWriter, *http.Reques
 			// The leader failed; evaluate for ourselves rather than replay
 			// a failure that may have been the leader's alone (its deadline,
 			// its disconnect, its panic).
-			rewind()
-			h(w, r)
+			run().copyTo(w)
 			return
 		}
 		e := &coalesceEntry{done: make(chan struct{})}
@@ -165,9 +172,7 @@ func (s *Server) coalesce(route string, h func(http.ResponseWriter, *http.Reques
 			s.coal.mu.Unlock()
 			close(e.done)
 		}()
-		rec := newResponseBuffer()
-		rewind()
-		h(rec, r)
+		rec := run()
 		e.status = rec.statusCode()
 		e.contentType = rec.header.Get("Content-Type")
 		e.body = rec.buf.Bytes()

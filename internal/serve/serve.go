@@ -366,8 +366,10 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // containment, trace propagation (an incoming W3C traceparent is honored,
 // otherwise a fresh trace id is minted; either way the response carries
 // one), per-route latency histograms and the structured access log. The
-// handler itself buffers its response, so a panic anywhere in decode or
-// evaluation turns into a clean structured 500 — never a half-written 200.
+// coalescing layer inside it hands every handler a responseBuffer and
+// copies it out only after the handler returns, so a panic anywhere in
+// decode, evaluation or encoding turns into a clean structured 500 — never
+// a half-written 200.
 func (s *Server) contained(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -608,13 +610,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sweeps.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WriteResultsJSON(&buf, suite.Name, results); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
-		return
-	}
+	// w is the coalescing layer's buffer, and the writer fails only before
+	// its first byte (on a NaN or ±Inf), so the error still gets a clean 500.
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	if err := scenario.WriteResultsJSON(w, suite.Name, results); err != nil {
+		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
+	}
 }
 
 // PlanRequest is the POST /v1/plan body: the planning suite plus the same
@@ -731,13 +732,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.plans.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode plans: %v", err)
-		return
-	}
+	// As in handleSweep, an encode error comes before the first byte.
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	if err := report.WriteJSON(w); err != nil {
+		writeError(w, http.StatusInternalServerError, "encode plans: %v", err)
+	}
 }
 
 // parseDeadline parses an optional request deadline.
