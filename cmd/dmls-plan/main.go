@@ -133,7 +133,7 @@ func (v *plan) Evaluate(ctx context.Context, s scenario.Suite, _ scenario.Checkp
 func (v *plan) Render(w io.Writer, format string) error {
 	switch format {
 	case "csv":
-		return scenario.WritePlansCSV(w, v.report.Export().Plans)
+		return v.report.WriteCSV(w)
 	case "json":
 		return v.report.WriteJSON(w)
 	}

@@ -2,13 +2,21 @@ package graph
 
 import "testing"
 
-func BenchmarkPowerLawDegrees100K(b *testing.B) {
-	spec := ScaledDNSGraph(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := spec.Degrees(int64(i)); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkPowerLawDegrees generates the DNS degree sequences of
+// serve-mix's graphs (100K vertices) and sweep-comm-grid's (1M).
+func BenchmarkPowerLawDegrees(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		vertices int
+	}{{"100K", 100000}, {"1M", 1000000}} {
+		spec := ScaledDNSGraph(c.vertices)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Degrees(int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

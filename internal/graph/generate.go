@@ -148,6 +148,9 @@ func ChungLu(degrees []int32, seed int64) (*Graph, error) {
 // truncated discrete power law P(d) ∝ d^−α on [1, maxDegree], with α
 // calibrated by bisection so the expected mean matches 2E/V; one vertex is
 // then pinned to maxDegree and the sum repaired by bounded ±1 adjustments.
+// The repair keeps every other degree in [1, maxDegree−1] (every degree is
+// 1 when maxDegree is 1), so 2·edges must lie in [V−1+maxDegree,
+// (V−1)·max(maxDegree−1, 1)+maxDegree].
 func PowerLawDegrees(vertices int, edges int64, maxDegree int32, seed int64) ([]int32, error) {
 	if vertices < 2 || edges < 1 || maxDegree < 1 {
 		return nil, fmt.Errorf("graph: power-law degrees: need positive sizes")
@@ -162,6 +165,17 @@ func PowerLawDegrees(vertices int, edges int64, maxDegree int32, seed int64) ([]
 	}
 	if mean > float64(maxDegree) {
 		return nil, fmt.Errorf("graph: power-law degrees: mean degree %.1f exceeds max degree %d", mean, maxDegree)
+	}
+	// Reject the sums the repair below cannot reach. Inside [lowest,
+	// highest], while the sum is short (long) some non-hub vertex can still
+	// rise (fall), and each pass picks it with probability at least 1/V, so
+	// the loop ends; outside, it would spin forever.
+	top := max(maxDegree-1, 1)
+	lowest := int64(vertices-1) + int64(maxDegree)
+	highest := int64(vertices-1)*int64(top) + int64(maxDegree)
+	if targetSum < lowest || targetSum > highest {
+		return nil, fmt.Errorf("graph: power-law degrees: degree sum %d outside the reachable [%d, %d]: the hub has degree %d and the other %d vertices between 1 and %d",
+			targetSum, lowest, highest, maxDegree, vertices-1, top)
 	}
 
 	alpha, err := calibrateAlpha(mean, maxDegree)
@@ -179,24 +193,35 @@ func PowerLawDegrees(vertices int, edges int64, maxDegree int32, seed int64) ([]
 	}
 	norm := cdf[maxD-1]
 
+	// A draw x maps to the first index with cdf ≥ x. guide[b] is the first
+	// index whose CDF value scales into bucket b or above; x·scale rounds
+	// monotonically, so every index before guide[int(x·scale)] has cdf < x,
+	// and the scan up from there stops at that first index. x ≤ norm =
+	// cdf[maxD-1] bounds the scan, and x·scale ≤ norm·scale rounds to at
+	// most buckets.
+	buckets := maxD
+	scale := float64(buckets) / norm
+	guide := make([]int32, buckets+1)
+	first := 0
+	for b := range guide {
+		for first < maxD-1 && int(cdf[first]*scale) < b {
+			first++
+		}
+		guide[b] = int32(first)
+	}
+
 	rng := rand.New(rand.NewSource(seed))
 	degrees := make([]int32, vertices)
 	var sum int64
 	argmax := 0
 	for v := range degrees {
 		x := rng.Float64() * norm
-		// Binary search the CDF.
-		lo, hi := 0, maxD-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		i := int(guide[int(x*scale)])
+		for cdf[i] < x {
+			i++
 		}
-		degrees[v] = int32(lo + 1)
-		sum += int64(lo + 1)
+		degrees[v] = int32(i + 1)
+		sum += int64(i + 1)
 		if degrees[v] > degrees[argmax] {
 			argmax = v
 		}
@@ -227,6 +252,16 @@ func PowerLawDegrees(vertices int, edges int64, maxDegree int32, seed int64) ([]
 // calibrateAlpha finds α such that the truncated power law on [1, maxDegree]
 // has the requested mean degree.
 func calibrateAlpha(mean float64, maxDegree int32) (float64, error) {
+	guess, width := estimateAlpha(mean, int(maxDegree))
+	return bisectAlpha(mean, maxDegree, guess, width)
+}
+
+// bisectAlpha returns exactly what a 60-step bisection on [0, 6] returns
+// that evaluates meanAt at every step, but evaluates only the steps that the
+// bracket guess ± width, once certified, leaves open, and stops once the
+// bracket stops moving. guess and width change how many steps it evaluates,
+// never its result.
+func bisectAlpha(mean float64, maxDegree int32, guess, width float64) (float64, error) {
 	maxD := int(maxDegree)
 	meanAt := func(alpha float64) float64 {
 		var num, den float64
@@ -245,15 +280,95 @@ func calibrateAlpha(mean float64, maxDegree int32) (float64, error) {
 	if meanAt(hi) > mean {
 		return 0, fmt.Errorf("graph: calibrate: mean %.2f unreachable above α=6", mean)
 	}
+
+	// The true mean m(α) strictly decreases (m′ = −Cov(d, ln d) < 0 for
+	// maxD ≥ 2), and meanAt is within a relative r of it. So once
+	// meanAt(L)·(1−3r) > mean, every α ≤ L has meanAt(α) > mean, and once
+	// meanAt(R)·(1+3r) < mean, every α ≥ R has meanAt(α) < mean: a step left
+	// of L or right of R has a known outcome. A bracket that fails the check
+	// is widened; after a few failures (always when maxD is 1, where m is
+	// flat) every step is evaluated.
+	r := meanAtError(maxD)
+	L, R := math.Inf(-1), math.Inf(1)
+	for range 3 {
+		l, h := max(guess-width, lo), min(guess+width, hi)
+		if meanAt(l)*(1-3*r) > mean && meanAt(h)*(1+3*r) < mean {
+			L, R = l, h
+			break
+		}
+		width *= 16
+	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if meanAt(mid) > mean {
+		// mid is lo or hi, and this step would keep it there: lo only took
+		// midpoints with meanAt > mean (60 halvings of 6 never make 0 a
+		// neighbour), hi only ones with meanAt ≤ mean, or the checked 6.
+		// So this step and every later one change nothing.
+		if mid == lo || mid == hi {
+			break
+		}
+		switch {
+		case mid <= L:
 			lo = mid
-		} else {
+		case mid >= R:
+			hi = mid
+		case meanAt(mid) > mean:
+			lo = mid
+		default:
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2, nil
+}
+
+// meanAtError bounds bisectAlpha's meanAt's error relative to the true mean:
+// two left-to-right sums of maxD positive terms, each math.Pow within 2¹⁰
+// ulps, and a division.
+func meanAtError(maxD int) float64 {
+	return float64(2*maxD+1<<12) * 0x1p-53
+}
+
+// estimateAlpha returns an estimate of the α at which the truncated power
+// law on [1, maxD] has the given mean, from safeguarded Newton steps on
+// Exp(−α·ln d) with the logs computed once, and a width around it that
+// covers its own error and meanAt's.
+func estimateAlpha(mean float64, maxD int) (alpha, width float64) {
+	logs := make([]float64, maxD)
+	for i := range logs {
+		logs[i] = math.Log(float64(i + 1))
+	}
+	r := meanAtError(maxD)
+	lo, hi := 0.0, 6.0
+	alpha = 2
+	for range 20 {
+		var s0, s1, sl, sdl float64
+		for i, l := range logs {
+			p := math.Exp(-alpha * l)
+			d := float64(i + 1)
+			s0 += p
+			s1 += d * p
+			sl += l * p
+			sdl += d * l * p
+		}
+		m := s1 / s0
+		cov := sdl/s0 - m*sl/s0 // Cov(d, ln d) = −m′(α)
+		if m > mean {
+			lo = alpha
+		} else {
+			hi = alpha
+		}
+		next := alpha + (m-mean)/cov
+		if !(next > lo && next < hi) {
+			next = (lo + hi) / 2
+		}
+		step := math.Abs(next - alpha)
+		alpha = next
+		// noise is how far a relative error r in the mean moves α.
+		if noise := r * mean / cov; step <= 4*noise {
+			return alpha, 8*noise + 2*step
+		}
+	}
+	return alpha, hi - lo
 }
 
 // DNSTraffic are the published statistics of the paper's §V-B graph: real

@@ -13,9 +13,10 @@ import (
 	"dmlscale/internal/units"
 )
 
-// sameJSON fails t unless the streaming export writes exactly what
-// scenario.WritePlansJSON writes for the report's Export, error included.
-func sameJSON(t *testing.T, r Report) {
+// sameExport fails t unless the streaming exports write exactly what
+// scenario.WritePlansJSON and WritePlansCSV write for the report's Export,
+// errors included.
+func sameExport(t *testing.T, r Report) {
 	t.Helper()
 	var want, got bytes.Buffer
 	wantErr := scenario.WritePlansJSON(&want, r.Export())
@@ -23,6 +24,14 @@ func sameJSON(t *testing.T, r Report) {
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("WriteJSON: %d bytes, error %v; WritePlansJSON of Export: %d bytes, error %v",
 			got.Len(), gotErr, want.Len(), wantErr)
+	}
+	want.Reset()
+	got.Reset()
+	exported := r.Export().Plans
+	wantErr = scenario.WritePlansCSV(&want, len(exported), func(i int) scenario.PlanRecord { return exported[i] })
+	gotErr = r.WriteCSV(&got)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteCSV: %q, error %v; WritePlansCSV of Export: %q, error %v", got.String(), gotErr, want.String(), wantErr)
 	}
 }
 
@@ -40,7 +49,7 @@ func TestWriteJSONMatchesExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameJSON(t, exhaustive)
+	sameExport(t, exhaustive)
 
 	grid, err := scenario.DecodeSuite(strings.NewReader(`{
 	  "name": "export grid",
@@ -74,7 +83,7 @@ func TestWriteJSONMatchesExport(t *testing.T) {
 	if st.Pruned == 0 || st.Refined == 0 || infeasible == 0 {
 		t.Fatalf("fixture has %d pruned, %d refined and %d over-budget plans; it needs each", st.Pruned, st.Refined, infeasible)
 	}
-	sameJSON(t, adaptive)
+	sameExport(t, adaptive)
 
 	spoiled := exhaustive
 	spoiled.Plans = append([]Plan(nil), exhaustive.Plans...)
@@ -82,7 +91,7 @@ func TestWriteJSONMatchesExport(t *testing.T) {
 	last.Curve = append([]Point(nil), exhaustive.Plans[0].Curve...)
 	last.Curve[3].Cost = math.NaN()
 	last.Err = nil
-	sameJSON(t, spoiled)
+	sameExport(t, spoiled)
 	if err := spoiled.WriteJSON(io.Discard); err == nil {
 		t.Fatal("a NaN cost exported without error")
 	}

@@ -429,7 +429,7 @@ func rankPlans(plans []Plan, objective Objective) {
 }
 
 // Export flattens the report into the serializable records
-// scenario.WritePlansJSON and WritePlansCSV consume.
+// scenario.WritePlansJSON consumes.
 func (r Report) Export() scenario.PlanReport {
 	out := scenario.PlanReport{
 		Suite:     r.Suite,
@@ -437,7 +437,7 @@ func (r Report) Export() scenario.PlanReport {
 		Plans:     make([]scenario.PlanRecord, len(r.Plans)),
 	}
 	for i := range r.Plans {
-		r.Plans[i].record(&out.Plans[i])
+		r.Plans[i].record(&out.Plans[i], true)
 	}
 	return out
 }
@@ -448,17 +448,27 @@ func (r Report) Export() scenario.PlanReport {
 func (r Report) WriteJSON(w io.Writer) error {
 	var rec scenario.PlanRecord
 	return scenario.StreamPlansJSON(w, r.Suite, string(r.Objective), len(r.Plans), func(i int) scenario.PlanRecord {
-		r.Plans[i].record(&rec)
+		r.Plans[i].record(&rec, true)
 		return rec
 	})
 }
 
-// record fills rec with the plan's export record. It keeps rec's curve
-// arrays and appends to them from length 0, so WriteJSON's one record
-// reuses them for every plan, and Export's zero records get arrays of
-// exactly the curve's length. A plan without a curve leaves them empty,
-// which omitempty drops like nil ones.
-func (p *Plan) record(rec *scenario.PlanRecord) {
+// WriteCSV writes the report as scenario.WritePlansCSV's ranked table. Each
+// plan fills one reused record without its curve, which the CSV leaves out.
+func (r Report) WriteCSV(w io.Writer) error {
+	var rec scenario.PlanRecord
+	return scenario.WritePlansCSV(w, len(r.Plans), func(i int) scenario.PlanRecord {
+		r.Plans[i].record(&rec, false)
+		return rec
+	})
+}
+
+// record fills rec with the plan's export record, and with its curve when
+// withCurve is set. It keeps rec's curve arrays and appends to them from
+// length 0, so WriteJSON's one record reuses them for every plan, and
+// Export's zero records get arrays of exactly the curve's length. A plan
+// without a curve leaves them empty, which omitempty drops like nil ones.
+func (p *Plan) record(rec *scenario.PlanRecord, withCurve bool) {
 	*rec = scenario.PlanRecord{
 		Rank:             p.Rank,
 		Scenario:         p.Scenario.Name,
@@ -489,6 +499,9 @@ func (p *Plan) record(rec *scenario.PlanRecord) {
 	rec.TimeSeconds = float64(p.Optimal.Time)
 	rec.Cost = p.Optimal.Cost
 	rec.Pareto = p.Pareto
+	if !withCurve {
+		return
+	}
 	n := len(p.Curve)
 	rec.Workers = withRoom(rec.Workers, n)
 	rec.TimesSeconds = withRoom(rec.TimesSeconds, n)

@@ -331,8 +331,10 @@ func finitePlan(r *PlanRecord) (int, error) {
 // A failed scenario contributes a row with the numeric columns empty and the
 // error in the last column; a pruned cell carries its optimistic bound in
 // the time and cost columns. The full curves are JSON-only: the CSV is the
-// ranked recommendation table.
-func WritePlansCSV(w io.Writer, plans []PlanRecord) error {
+// ranked recommendation table, so record may leave them out. It asks record
+// for the i-th of n records once, in order, and is done with each before it
+// asks for the next, so record may reuse one record for every plan.
+func WritePlansCSV(w io.Writer, n int, record func(i int) PlanRecord) error {
 	cw := csv.NewWriter(w)
 	header := []string{"rank", "scenario", "family", "convergence_aware", "rule", "optimal_workers",
 		"iterations_to_accuracy", "time_seconds", "cost_rate_per_node_hour", "cost", "pareto",
@@ -340,7 +342,8 @@ func WritePlansCSV(w io.Writer, plans []PlanRecord) error {
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("scenario: plan csv: %w", err)
 	}
-	for _, rec := range plans {
+	for i := range n {
+		rec := record(i)
 		if rec.Error != "" {
 			row := []string{strconv.Itoa(rec.Rank), rec.Scenario, rec.Family, "", "", "", "", "", "", "", "", "", "", "", rec.Notice, rec.Error}
 			if err := cw.Write(row); err != nil {

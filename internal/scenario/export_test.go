@@ -138,7 +138,7 @@ func TestPlansJSONRoundTripAndCSVShape(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WritePlansCSV(&buf, report.Plans); err != nil {
+	if err := WritePlansCSV(&buf, len(report.Plans), func(i int) PlanRecord { return report.Plans[i] }); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()

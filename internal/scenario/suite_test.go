@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dmlscale/internal/core"
 	"dmlscale/internal/registry"
@@ -466,6 +467,39 @@ func TestEvaluateSuiteIsolatesBadScenario(t *testing.T) {
 	}
 	if failed != 1 {
 		t.Errorf("%d failures, want exactly the bad scenario", failed)
+	}
+}
+
+// TestEvaluateSuiteRejectsUnreachableDegreeSum: a power-law graph whose
+// degree sum the generator's repair cannot reach (600 < 457 + 315) fails
+// its cell with the reachable range named, instead of spinning forever. The
+// suite runs on its own goroutine, so a spinning generator fails the test
+// instead of hanging it.
+func TestEvaluateSuiteRejectsUnreachableDegreeSum(t *testing.T) {
+	sc := Fig4()
+	sc.Name = "unreachable degree sum"
+	sc.Workload.Graph = &GraphSpec{Family: "power-law", Vertices: 458, Edges: 300, MaxDegree: 315}
+	suite := Suite{Name: "unreachable", Scenarios: []Scenario{sc}}
+	type outcome struct {
+		results []Result
+		err     error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		results, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 1)
+		done <- outcome{results, err}
+	}()
+	select {
+	case out := <-done:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		if len(out.results) != 1 || out.results[0].Err == nil ||
+			!strings.Contains(out.results[0].Err.Error(), "outside the reachable [772, 143813]") {
+			t.Fatalf("results = %+v, want one cell failing with the reachable range", out.results)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no result after 10 s; the degree repair does not end")
 	}
 }
 
