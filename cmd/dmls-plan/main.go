@@ -187,9 +187,6 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	if st.Cancelled > 0 {
 		out += fmt.Sprintf(", %d cancelled", st.Cancelled)
 	}
-	if st.Retried > 0 {
-		out += fmt.Sprintf(", %d transient retries", st.Retried)
-	}
 	out += ")\n"
 	if st.RefineRounds > 0 {
 		out += fmt.Sprintf("stats: refinement added %d cells over %d rounds\n", st.Refined, st.RefineRounds)

@@ -11,10 +11,9 @@
 //
 //	POST /v1/sweep   {"suite": {...}}                 → dmls-sweep -format json output
 //	POST /v1/plan    {"suite": {...}, "adaptive": true} → dmls-plan -format json output
-//	GET  /healthz    liveness: "ok"; 200 "degraded" while the kernel circuit
-//	                 breaker is open; 503 "draining" during shutdown
+//	GET  /healthz    liveness: "ok"; 503 "draining" during shutdown
 //	GET  /metrics    Prometheus text exposition (counters, per-route latency
-//	                 histograms, breaker and cache gauges)
+//	                 histograms, cache gauges)
 //
 // Observability: every request carries a W3C traceparent (an incoming one
 // is honored, otherwise a trace id is minted) echoed on the response;
@@ -31,14 +30,9 @@
 // server. SIGINT/SIGTERM starts a graceful drain: in-flight requests get
 // -drain-timeout to finish before their contexts are cancelled.
 //
-// One circuit breaker guards the Monte-Carlo kernel fill, the only step
-// of either route that can fail transiently. A fill counts against it only
-// when its transient kernel faults outlast the retries; a cell that fails
-// on the client's own input (an unknown protocol kind, say) never reaches
-// it. While it is open, each fill fails fast and its cell carries a
-// "kernel unavailable" error; every other cell, and every graph cell whose
-// estimates are cached, answers exactly as with the breaker closed. After
-// -breaker-open-for, the next fill is the probe that closes it again.
+// A cell whose evaluation fails, or panics, carries its own error in an
+// otherwise complete 200; nothing retries it, because the Monte-Carlo
+// kernel behind graph cells fails only on bad input or cancellation.
 package main
 
 import (
@@ -54,7 +48,6 @@ import (
 	"time"
 
 	"dmlscale/internal/core"
-	"dmlscale/internal/registry"
 	"dmlscale/internal/serve"
 )
 
@@ -77,9 +70,6 @@ func run(args []string, stderr *os.File) int {
 		parallelism  = fs.Int("parallel", 0, "process-wide parallelism budget; 0 means GOMAXPROCS")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables profiling")
 		accessLog    = fs.String("access-log", "", "append structured JSON access-log lines to this file; \"-\" means stderr, empty disables")
-
-		breakerOpenFor = fs.Duration("breaker-open-for", 15*time.Second, "how long the open kernel circuit breaker fails fills fast before admitting a probe fill")
-		chaosKernel    = fs.Int("chaos-kernel-errors", 0, "UNSAFE drill knob: fail the first N attempts of every kernel computation with a transient fault, for breaker and retry exercises")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -111,29 +101,7 @@ func run(args []string, stderr *os.File) int {
 		MaxCells:        *maxCells,
 		DrainTimeout:    *drainTimeout,
 		AccessLog:       logW,
-		BreakerOpenFor:  *breakerOpenFor,
 	})
-
-	if n := *chaosKernel; n > 0 {
-		// Chaos drill: every kernel coordinate fails its first n attempts
-		// with a transient fault. With n below the retry policy's attempts
-		// per kernel computation (3 by default) the service absorbs the
-		// faults on sweeps and plans alike (retries, no user-visible
-		// errors); at or past it, failed fills surface as cell errors and
-		// trip the kernel breaker. The loadtest script rehearses both
-		// sides.
-		fmt.Fprintf(stderr, "dmls-serve: CHAOS: failing the first %d attempts of every kernel computation\n", n)
-		registry.SetKernelFault(func(c registry.KernelCall) registry.KernelFault {
-			if c.Attempt < n {
-				return registry.KernelFault{
-					Err:       fmt.Errorf("chaos: injected transient kernel fault (attempt %d of %d)", c.Attempt+1, n),
-					Transient: true,
-				}
-			}
-			return registry.KernelFault{}
-		})
-		defer registry.SetKernelFault(nil)
-	}
 
 	if *debugAddr != "" {
 		// Profiling lives on its own listener so it is never exposed on the

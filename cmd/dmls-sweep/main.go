@@ -143,9 +143,6 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	if st.ResumedCells > 0 {
 		line += fmt.Sprintf(", %d resumed from checkpoint", st.ResumedCells)
 	}
-	if st.Retried > 0 {
-		line += fmt.Sprintf(", %d transient retries", st.Retried)
-	}
 	out := line + fmt.Sprintf("; %v elapsed (build %v + sample %v summed across cells)\n",
 		elapsed.Round(time.Microsecond),
 		st.BuildTime.Round(time.Microsecond), st.SampleTime.Round(time.Microsecond))

@@ -1,9 +1,9 @@
 // Package cli is the run harness dmls-sweep and dmls-plan share. It owns
 // what the two verbs have in common: the shared flags, loading the suite,
-// the -parallel budget and -retries policy, opening and closing the
-// -checkpoint journal, recording and flushing a -trace, and the interrupt
-// and exit-code policy. A command adds only its own flags, its one
-// evaluation call and its renderer.
+// the -parallel budget, opening and closing the -checkpoint journal,
+// recording and flushing a -trace, and the interrupt and exit-code policy.
+// A command adds only its own flags, its one evaluation call and its
+// renderer.
 package cli
 
 import (
@@ -83,7 +83,7 @@ type Harness struct {
 	Flags *flag.FlagSet
 
 	suitePath, format, tracePath, ckptPath *string
-	parallel, retries                      *int
+	parallel                               *int
 	stats, emitExample, keepGoing, resume  *bool
 }
 
@@ -102,7 +102,6 @@ func New(cmd Command, stdout, stderr io.Writer) *Harness {
 		keepGoing:   fs.Bool("keep-going", false, "exit 0 even when some scenarios fail (a fully failed suite still exits 1)"),
 		ckptPath:    fs.String("checkpoint", "", cmd.Usage.Checkpoint),
 		resume:      fs.Bool("resume", false, cmd.Usage.Resume),
-		retries:     fs.Int("retries", -1, "max retries of each kernel computation after a transient fault; 0 disables retry, -1 keeps the default (2)"),
 	}
 }
 
@@ -147,7 +146,6 @@ func (h *Harness) Run(ctx context.Context, v Verb) int {
 	if *h.parallel > 0 {
 		core.SetParallelism(*h.parallel)
 	}
-	applyRetries(*h.retries)
 	if *h.resume && *h.ckptPath == "" {
 		return h.Fail(fmt.Errorf("-resume needs -checkpoint"))
 	}
@@ -248,16 +246,6 @@ func (h *Harness) exitCode(failed, total int) int {
 		return 0
 	}
 	return 1
-}
-
-// applyRetries overrides the process-wide retry policy's attempt count:
-// -retries N allows N retries after the first attempt, 0 disables retrying
-// entirely, and a negative value keeps the built-in default.
-func applyRetries(retries int) {
-	if retries < 0 {
-		return
-	}
-	resilience.SetDefault(resilience.Policy{MaxAttempts: retries + 1})
 }
 
 // writeTrace flushes the recorded spans as a Chrome/Perfetto trace file.

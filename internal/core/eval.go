@@ -105,9 +105,8 @@ func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) int {
 // context short-circuits to a cancelled result, and a panic that carries a
 // context error — the idiom model closures use to surface cancellation from
 // inside context-blind Model methods — unwraps to a clean cancelled result
-// instead of a "panicked" error. Transient kernel faults were already
-// retried inside the kernel fill (internal/registry), so a job is evaluated
-// exactly once.
+// instead of a "panicked" error. A job is evaluated exactly once; nothing
+// retries it.
 func EvaluateOne(ctx context.Context, job Job) (res JobResult) {
 	res.Name = job.Name
 	// The cell span parents everything the job does — including kernel
@@ -125,8 +124,8 @@ func EvaluateOne(ctx context.Context, job Job) (res JobResult) {
 				res = CancelledResult(job.Name, err)
 			} else if err, ok := r.(error); ok {
 				// Wrap, don't format: the panic idiom carries typed errors
-				// (kernel failures, injected transient faults) whose chain
-				// the serve breakers still classify.
+				// (kernel failures, injected faults) that callers still
+				// match with errors.Is.
 				res.Err = fmt.Errorf("core: job %q panicked: %w", job.Name, err)
 			} else {
 				res.Err = fmt.Errorf("core: job %q panicked: %v", job.Name, r)

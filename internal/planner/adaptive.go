@@ -101,7 +101,6 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	span.SetInt("cells", int64(n))
 	defer span.End()
 	kernelBefore := registry.KernelComputeTime()
-	retriesBefore := resilience.TotalRetries()
 
 	var plans []Plan
 	var stats scenario.EvalStats
@@ -138,7 +137,6 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 		}
 	}
 	stats.KernelComputeTime = registry.KernelComputeTime() - kernelBefore
-	stats.Retried = int(resilience.TotalRetries() - retriesBefore)
 	markPareto(plans)
 	rankPlans(plans, objective)
 	return Report{Suite: s.Name, Objective: objective, Plans: plans}, stats, ctx.Err()

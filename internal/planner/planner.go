@@ -189,8 +189,8 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 			if err, ok := r.(error); ok && resilience.IsCancelled(err) {
 				p = cancelledPlan(sc, err)
 			} else if err, ok := r.(error); ok {
-				// Wrap rather than flatten: classification (e.g. transient
-				// kernel faults) must survive the panic boundary.
+				// Wrap rather than flatten, so callers can still match
+				// the cause with errors.Is.
 				p.Err = fmt.Errorf("planner: scenario %q panicked: %w", sc.Name, err)
 			} else {
 				p.Err = fmt.Errorf("planner: scenario %q panicked: %v", sc.Name, r)

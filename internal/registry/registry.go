@@ -34,7 +34,6 @@ import (
 	"dmlscale/internal/nncost"
 	"dmlscale/internal/obs"
 	"dmlscale/internal/partition"
-	"dmlscale/internal/resilience"
 	"dmlscale/internal/units"
 )
 
@@ -461,6 +460,11 @@ func validateGraph(s GraphSpec) error {
 	}
 	if s.Vertices > maxGraphVertices {
 		return fmt.Errorf("registry: graph family %q: vertices %d exceed the %d cap", s.Family, s.Vertices, maxGraphVertices)
+	}
+	// A simple graph has no degree above V−1, and the generator's time and
+	// memory grow with the maximum degree, not the vertex count.
+	if s.Family == "power-law" && int(s.MaxDegree) >= s.Vertices {
+		return fmt.Errorf("registry: graph family %q: max_degree %d must be below vertices %d (at most %d)", s.Family, s.MaxDegree, s.Vertices, s.Vertices-1)
 	}
 	return nil
 }
@@ -1078,9 +1082,9 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 	// estimate cache. Only the missing keys reach the kernel, all of them
 	// in one common-random-numbers pass, so the span and the process-wide
 	// compute-time accumulator measure actual kernel work — hits and
-	// single-flight waits cost neither. Transient faults retry inside that
-	// single flight, so every waiter coalesced on a key rides its retries
-	// instead of spawning its own, on the shared retry budget.
+	// single-flight waits cost neither. The kernel runs once per fill: it
+	// fails only on bad input or cancellation, and a failed fill leaves no
+	// cache entry, so the next caller computes afresh.
 	fill := func(keys []estimateKey) ([]float64, error) {
 		return estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
 			kstart := time.Now()
@@ -1097,27 +1101,19 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 			for i, k := range missing {
 				wcounts[i] = k.workers
 			}
+			// The fault hook fires per key, so a chaos hook targeting one
+			// worker count sees its coordinates inside a batch too, and
+			// every key sees the fill (the first fault fails it).
+			var err error
+			for _, k := range missing {
+				if ferr := injectKernelFault(kctx, k.call()); ferr != nil && err == nil {
+					err = ferr
+				}
+			}
 			var ests []partition.Estimate
-			err := resilience.Default().Do(kctx, missing[0].hash(), func() error {
-				// The fault hook fires per key — a chaos hook targeting one
-				// worker count sees its coordinates inside a batch too —
-				// and every key sees every attempt (first fault wins), so
-				// one kernel invocation is one attempt at every coordinate
-				// and "fail N times then succeed" scripts behave the same
-				// whatever the batch size.
-				var faultErr error
-				for _, k := range missing {
-					if err := injectKernelFault(kctx, k.call()); err != nil && faultErr == nil {
-						faultErr = err
-					}
-				}
-				if faultErr != nil {
-					return faultErr
-				}
-				es, err := partition.MonteCarloMaxEdgesBatch(kctx, degrees, wcounts, trials, seed)
-				ests = es
-				return err
-			})
+			if err == nil {
+				ests, err = partition.MonteCarloMaxEdgesBatch(kctx, degrees, wcounts, trials, seed)
+			}
 			if err != nil {
 				kspan.SetError(err)
 				return nil, err

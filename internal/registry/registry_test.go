@@ -179,6 +179,37 @@ func TestGraphFamilies(t *testing.T) {
 	}
 }
 
+// TestPowerLawMaxDegreeBelowVertices: a power-law spec may ask for a
+// maximum degree up to V−1, the most a simple graph allows. From V on it
+// fails before any generation, so a huge max_degree, which would cost the
+// generator time and memory in proportion, costs nothing.
+func TestPowerLawMaxDegreeBelowVertices(t *testing.T) {
+	spec := GraphSpec{Family: "power-law", Vertices: 256, Edges: 1024, MaxDegree: 255, Seed: 7}
+	degrees, err := GraphDegreesCtx(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("max_degree V-1: %v", err)
+	}
+	if len(degrees) != 256 {
+		t.Fatalf("max_degree V-1: %d degrees, want 256", len(degrees))
+	}
+	for _, spec := range []GraphSpec{
+		{Family: "power-law", Vertices: 256, Edges: 1024, MaxDegree: 256, Seed: 7},
+		{Family: "power-law", Vertices: 1000, Edges: 1_000_000, MaxDegree: 1_000_000, Seed: 7},
+	} {
+		misses := SnapshotCaches().Degrees.Misses
+		_, err := GraphDegreesCtx(context.Background(), spec)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d", spec.Vertices-1)) {
+			t.Errorf("max_degree %d of %d vertices: err = %v, want one naming the bound %d", spec.MaxDegree, spec.Vertices, err, spec.Vertices-1)
+		}
+		if _, err := BuildGraph(spec); err == nil {
+			t.Errorf("max_degree %d of %d vertices: BuildGraph accepted it", spec.MaxDegree, spec.Vertices)
+		}
+		if got := SnapshotCaches().Degrees.Misses; got != misses {
+			t.Errorf("max_degree %d of %d vertices: the degree cache missed %d times, want no generation", spec.MaxDegree, spec.Vertices, got-misses)
+		}
+	}
+}
+
 func TestArchitectures(t *testing.T) {
 	for _, name := range Architectures() {
 		net, err := Architecture(name)

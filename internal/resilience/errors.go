@@ -1,13 +1,10 @@
-// Package resilience is the fault-recovery layer of the evaluation spine:
-// a transient-error marker, and the retry policy and circuit breaker of
-// the Monte-Carlo kernel fill (internal/registry), the one place transient
-// errors arise. The policy retries with capped exponential backoff and
-// deterministic jitter, inside the fill's single flight, so every caller
-// waiting on the same estimate shares one set of retries, for sweeps and
-// plans alike, and a shared process budget keeps a storm of failing
-// kernels from amplifying load. The breaker, when the context carries one
-// (WithBreaker), fails fills fast while the kernel keeps failing; every
-// cell that needs no fill answers as usual.
+// Package resilience classifies the errors the evaluation spine contains:
+// IsCancelled tells a cancelled or expired run apart from a failed one, so
+// the cells it finished render as a partial result rather than failures.
+//
+// Nothing in the module retries. The one call that prices a graph cell,
+// the Monte-Carlo kernel fill (internal/registry), fails only on bad input
+// or cancellation, and neither would succeed on a second attempt.
 package resilience
 
 import (
@@ -15,50 +12,12 @@ import (
 	"errors"
 )
 
-// Transient is the class marker for errors worth retrying. It is a
-// sentinel, not a wrapper: MarkTransient attaches it to a cause, and
-// errors.Is(err, resilience.Transient) — or IsTransient — detects it
-// anywhere in a wrapped chain. Fault injection (registry.KernelFault
-// {Transient: true}) produces transient errors; everything else in this
-// module is deterministic, so unmarked errors default to permanent.
-var Transient = errors.New("resilience: transient fault")
-
-// ErrKernelUnavailable is what a kernel fill returns, without attempting
-// the kernel, while the circuit breaker its context carries is open. It is
-// permanent, so nothing retries it: the cell that needed the fill fails
-// with it, and cells that need no fill answer as usual.
-var ErrKernelUnavailable = errors.New("resilience: kernel unavailable: circuit breaker open")
-
-// transientError marks its cause as transient while preserving the chain.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Is makes errors.Is(err, Transient) true for any marked error without
-// string comparison or sentinel identity in the cause chain.
-func (e *transientError) Is(target error) bool { return target == Transient }
-
-// MarkTransient wraps err as transient. nil stays nil, and marking an
-// already-transient error is harmless (the marker is idempotent under
-// errors.Is).
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err should be retried: marked transient and
-// not a cancellation. Cancellation dominates: a transient-marked error
-// that wraps the caller's context error is not transient, so an abandoned
-// run never spins in a backoff loop.
-func IsTransient(err error) bool {
-	return errors.Is(err, Transient) && !IsCancelled(err)
-}
-
 // IsCancelled reports whether err wraps a context cancellation or deadline
 // expiry.
 func IsCancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
+
+// TotalRetries returns 0, the number of retries the module takes. It stays
+// only because bench/probe reads it into its resilience.retried metric.
+func TotalRetries() int64 { return 0 }

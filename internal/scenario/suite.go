@@ -14,7 +14,6 @@ import (
 	"dmlscale/internal/core"
 	"dmlscale/internal/obs"
 	"dmlscale/internal/registry"
-	"dmlscale/internal/resilience"
 )
 
 // Suite declares many scenarios at once: an explicit list, a parameter
@@ -176,12 +175,6 @@ type EvalStats struct {
 	// RefineTime is the wall time of the adaptive planner's frontier
 	// refinement rounds. 0 outside adaptive plans.
 	RefineTime time.Duration
-	// Retried counts the kernel-computation retries the resilience layer
-	// took during the pass, measured as the process-wide retry counter's
-	// delta across the pass (approximate under concurrent passes, like
-	// KernelComputeTime). 0 on a never-faulted run, so operators can tell
-	// recovered-from-fault apart from never-faulted.
-	Retried int
 	// ResumedCells counts cells replayed from a checkpoint journal instead
 	// of evaluated — the work a resumed run did not repeat. Always 0
 	// without a checkpoint.
@@ -295,7 +288,6 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 	span.SetInt("cells", int64(n))
 	defer span.End()
 	kernelBefore := registry.KernelComputeTime()
-	retriesBefore := resilience.TotalRetries()
 	results := make([]Result, n)
 	evaluated := make([]core.JobResult, n)
 	var resumed []bool
@@ -368,7 +360,6 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 		})
 	}
 	stats.KernelComputeTime = registry.KernelComputeTime() - kernelBefore
-	stats.Retried = int(resilience.TotalRetries() - retriesBefore)
 	return results, stats, ctx.Err()
 }
 

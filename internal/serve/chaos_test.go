@@ -77,11 +77,8 @@ func checkBudgetIntact(t *testing.T) {
 func TestChaosFaultInjection(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	// Injected errors and panics are permanent, so they must never trip
-	// the kernel circuit breaker: an open breaker would fail the
-	// post-chaos plans' kernel fills, and their graph cells would carry
-	// errors. Admission is TestShedUnderLoad's subject: here every request
-	// of the storm gets a slot, so none may be shed with 429.
+	// Admission is TestShedUnderLoad's subject: here every request of the
+	// storm gets a slot, so none may be shed with 429.
 	const n = 20
 	s := New(Config{MaxInFlight: n, DefaultDeadline: 10 * time.Second})
 	ts := httptest.NewServer(s.Handler())
@@ -258,6 +255,41 @@ func TestChaosFaultInjection(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked through chaos: %d before, %d after", before, g)
+	}
+}
+
+// TestChaosKernelFillAttemptedOnce: under a hook that fails every kernel
+// call, each kernel coordinate is attempted exactly once, on /v1/sweep and
+// on /v1/plan alike, and the graph cell carries the hook's error. Nothing
+// above or inside the kernel fill retries it.
+func TestChaosKernelFillAttemptedOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	defer registry.SetKernelFault(nil)
+	const fault = "chaos: the kernel always fails"
+	for _, route := range []string{"sweep", "plan"} {
+		var mu sync.Mutex
+		attempts := map[registry.KernelCall]int{}
+		registry.SetKernelFault(func(c registry.KernelCall) registry.KernelFault {
+			mu.Lock()
+			attempts[c]++
+			mu.Unlock()
+			return registry.KernelFault{Err: errors.New(fault)}
+		})
+		status, body, _ := post(t, ts, "/v1/"+route, `{"suite": `+graphSuite(freshSeed())+`}`)
+		if status != 200 || !bytes.Contains(body, []byte(fault)) {
+			t.Fatalf("%s: status %d, want 200 with the hook's error in the cell: %s", route, status, body)
+		}
+		mu.Lock()
+		// graphSuite's curve spans 1..12 workers, one coordinate each.
+		if len(attempts) != 12 {
+			t.Errorf("%s: %d kernel coordinates reached the hook, want 12", route, len(attempts))
+		}
+		for c, n := range attempts {
+			if n != 1 {
+				t.Errorf("%s: %d attempts at workers=%d, want 1", route, n, c.Workers)
+			}
+		}
+		mu.Unlock()
 	}
 }
 

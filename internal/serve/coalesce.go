@@ -10,9 +10,10 @@ import (
 	"sync/atomic"
 )
 
-// maxRequestBytes caps evaluation request bodies; the coalescing layer reads
-// under the same limit the strict decoder enforces, so an oversized body is
-// rejected identically whether or not it coalesces.
+// maxRequestBytes caps evaluation request bodies. The coalescing layer is
+// the one place a body is read, under this limit, and it hands the bytes
+// to the handler, so an oversized body is rejected identically whether or
+// not it coalesces.
 const maxRequestBytes = 4 << 20
 
 // coalesceEntry is one in-flight evaluation other identical requests may
@@ -106,8 +107,8 @@ func (rb *responseBuffer) copyTo(w http.ResponseWriter) {
 // drops its entry and every waiter evaluates for itself, so one poisoned
 // request can never fan its failure out to followers. Runs inside contained,
 // so waiters hold admission slots — coalescing dedupes work, it does not
-// widen admission.
-func (s *Server) coalesce(route string, h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
+// widen admission. h gets the body as read here, once.
+func (s *Server) coalesce(route string, h func(w http.ResponseWriter, r *http.Request, body []byte)) func(http.ResponseWriter, *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
 		if err != nil {
@@ -120,8 +121,7 @@ func (s *Server) coalesce(route string, h func(http.ResponseWriter, *http.Reques
 		// error never leaves a half-written 200 on the wire.
 		run := func() *responseBuffer {
 			rec := newResponseBuffer()
-			r.Body = io.NopCloser(bytes.NewReader(raw))
-			h(rec, r)
+			h(rec, r, raw)
 			return rec
 		}
 		key, canonical := coalesceKey(route, raw)

@@ -104,8 +104,7 @@ func TestChaosCoalescePanickedLeader(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int64
 	const okBody = `{"ok":true}`
-	handler := s.contained("sweep", s.coalesce("sweep", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
+	handler := s.contained("sweep", s.coalesce("sweep", func(w http.ResponseWriter, r *http.Request, _ []byte) {
 		if calls.Add(1) == 1 {
 			close(leaderIn)
 			<-release

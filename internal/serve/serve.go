@@ -20,12 +20,6 @@
 //     the server keeps serving.
 //   - Graceful drain: Run stops accepting, lets in-flight requests finish
 //     for DrainTimeout, then cancels their contexts and closes.
-//   - Kernel circuit breaker: every request context carries the server's
-//     one breaker (resilience.WithBreaker), which guards the Monte-Carlo
-//     kernel fill. While it is open only fills fail, fast and with
-//     resilience.ErrKernelUnavailable in the cell that needed them; every
-//     other cell, and every graph cell whose estimates are cached, answers
-//     exactly as with the breaker closed.
 package serve
 
 import (
@@ -47,7 +41,6 @@ import (
 	"dmlscale/internal/obs"
 	"dmlscale/internal/planner"
 	"dmlscale/internal/registry"
-	"dmlscale/internal/resilience"
 	"dmlscale/internal/scenario"
 )
 
@@ -75,9 +68,6 @@ type Config struct {
 	// phase breakdown (build/sample/plan/kernel time). Writes are
 	// serialized; nil disables access logging.
 	AccessLog io.Writer
-	// BreakerOpenFor is how long the kernel circuit breaker stays open
-	// before admitting a half-open probe fill; default 15s.
-	BreakerOpenFor time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -99,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 15 * time.Second
 	}
 	return c
 }
@@ -135,11 +122,7 @@ type Server struct {
 	deadlineExpired *obs.Counter
 	clientGone      *obs.Counter
 	panics          *obs.Counter
-	retries         *obs.Counter
 	inFlight        atomic.Int64
-
-	// breaker guards the kernel fills of every request (requestCtx).
-	breaker *resilience.Breaker
 
 	// coal single-flights identical in-flight /v1/sweep and /v1/plan
 	// requests: followers replay the leader's 200 instead of re-evaluating.
@@ -169,7 +152,6 @@ func New(cfg Config) *Server {
 		accessLog: cfg.AccessLog,
 		mux:       http.NewServeMux(),
 	}
-	s.breaker = resilience.NewBreaker(cfg.BreakerOpenFor, nil)
 	s.coal.inflight = make(map[string]*coalesceEntry)
 	s.registerMetrics()
 	s.mux.Handle("POST /v1/sweep", s.contained("sweep", s.coalesce("sweep", s.handleSweep)))
@@ -193,7 +175,6 @@ func (s *Server) registerMetrics() {
 	s.deadlineExpired = s.set.NewCounter("dmls_deadline_expired_total", "Evaluations that hit their per-request deadline (504).")
 	s.clientGone = s.set.NewCounter("dmls_client_gone_total", "Evaluations cancelled by client disconnect or drain hard-stop.")
 	s.panics = s.set.NewCounter("dmls_panics_total", "Requests that panicked and were contained as 500s.")
-	s.retries = s.set.NewCounter("dmls_retries_total", "Transient-fault retries of kernel computations performed on behalf of served requests.")
 
 	dur := "Evaluation request wall time in seconds, by route."
 	s.durSweep = s.set.NewHistogram("dmls_request_duration_seconds", dur, obs.DurationBuckets(), obs.Label{Key: "route", Value: "sweep"})
@@ -203,7 +184,6 @@ func (s *Server) registerMetrics() {
 	s.cellsPlan = s.set.NewHistogram("dmls_request_cells", cells, obs.CountBuckets(), obs.Label{Key: "route", Value: "plan"})
 
 	s.set.NewGauge("dmls_in_flight", "Evaluation requests currently executing.", func() float64 { return float64(s.inFlight.Load()) })
-	s.set.NewGauge("dmls_breaker_state", "Kernel circuit breaker state: 0 closed, 1 open, 2 half-open.", func() float64 { return float64(s.breaker.State()) })
 	s.set.NewGauge("dmls_draining", "1 once graceful shutdown has begun, else 0.", func() float64 {
 		if s.draining.Load() {
 			return 1
@@ -430,7 +410,6 @@ type accessEntry struct {
 	BoundMS    float64 `json:"bound_ms,omitempty"`
 	RefineMS   float64 `json:"refine_ms,omitempty"`
 	KernelMS   float64 `json:"kernel_ms,omitempty"`
-	Retried    int     `json:"retried,omitempty"`
 	Resumed    int     `json:"resumed,omitempty"`
 }
 
@@ -448,9 +427,6 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 		if ri.statsSet {
 			s.cellsPlan.Observe(float64(ri.stats.Scenarios))
 		}
-	}
-	if ri.statsSet && ri.stats.Retried > 0 {
-		s.retries.Add(int64(ri.stats.Retried))
 	}
 	if s.accessLog == nil {
 		return
@@ -480,7 +456,6 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 		entry.BoundMS = ms(ri.stats.BoundTime)
 		entry.RefineMS = ms(ri.stats.RefineTime)
 		entry.KernelMS = ms(ri.stats.KernelComputeTime)
-		entry.Retried = ri.stats.Retried
 		entry.Resumed = ri.stats.ResumedCells
 	}
 	line, err := json.Marshal(entry)
@@ -495,14 +470,13 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 
 // requestCtx derives the evaluation context: the request's context (itself
 // parented on the server's base context, so drain hard-stop and client
-// disconnect both propagate) carrying the kernel breaker, bounded by the
-// effective deadline.
+// disconnect both propagate), bounded by the effective deadline.
 func (s *Server) requestCtx(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if deadline > 0 {
 		d = min(deadline, s.cfg.MaxDeadline)
 	}
-	return context.WithTimeout(resilience.WithBreaker(r.Context(), s.breaker), d)
+	return context.WithTimeout(r.Context(), d)
 }
 
 // evalFailure maps an engine-returned context error onto the wire: 504 for
@@ -527,15 +501,12 @@ func (s *Server) evalFailure(w http.ResponseWriter, r *http.Request, err error) 
 	return false
 }
 
-// decodeRequest strictly decodes a request body into dst, rejecting unknown
-// fields and trailing garbage. The body is read whole first so suite
-// sub-documents can be re-decoded through scenario's own strict path.
-func decodeRequest(r *http.Request, dst any) error {
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
-	if err != nil {
-		return fmt.Errorf("read body: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
+// decodeRequest strictly decodes a request body, as the coalescing layer
+// read it, into dst, rejecting unknown fields and trailing garbage. Suite
+// sub-documents stay raw, to be re-decoded through scenario's own strict
+// path.
+func decodeRequest(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return err
@@ -583,9 +554,9 @@ type SweepRequest struct {
 
 // handleSweep evaluates a suite and responds with the exact document
 // dmls-sweep -format json writes.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req SweepRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		s.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
@@ -683,9 +654,9 @@ func (req PlanRequest) options() (planner.Options, error) {
 
 // handlePlan plans a suite and responds with the exact document dmls-plan
 // -format json writes, so served and offline plans are byte-comparable.
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req PlanRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		s.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
 		return
@@ -754,20 +725,13 @@ func parseDeadline(s string) (time.Duration, error) {
 	return d, nil
 }
 
-// handleHealthz answers liveness probes: "ok" while fully serving, 503
-// "draining" once shutdown has begun so load balancers stop routing here,
-// and 200 "degraded" while the kernel circuit breaker is open or probing —
-// the process is alive and still answering every cell that needs no kernel
-// fill, so it must NOT be restarted, but operators should know.
+// handleHealthz answers liveness probes: "ok" while serving, and 503
+// "draining" once shutdown has begun so load balancers stop routing here.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
-		return
-	}
-	if s.breaker.State() != resilience.BreakerClosed {
-		io.WriteString(w, "degraded\n")
 		return
 	}
 	io.WriteString(w, "ok\n")

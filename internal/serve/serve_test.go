@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -81,9 +83,9 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte, ht
 }
 
 // TestHandlerAllocs pins the allocations of one request through the
-// in-process handler, on the kernel-free fixtures: 226 for the plan and
-// 275 for the sweep, the breaker's context value included. A change that
-// allocates more per request fails here and must say why it pays.
+// in-process handler, on the kernel-free fixtures: 220 for the plan and
+// 270 for the sweep. A change that allocates more per request fails here
+// and must say why it pays.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items, so counts drift")
@@ -102,7 +104,7 @@ func TestHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		path, suite string
 		pin         float64
-	}{{"/v1/plan", planSuiteJSON, 226}, {"/v1/sweep", sweepSuiteJSON, 275}} {
+	}{{"/v1/plan", planSuiteJSON, 220}, {"/v1/sweep", sweepSuiteJSON, 270}} {
 		body := `{"suite": ` + tc.suite + `}`
 		allocs := testing.AllocsPerRun(20, func() {
 			rec := httptest.NewRecorder()
@@ -277,53 +279,82 @@ func TestAccessLogPhaseBreakdown(t *testing.T) {
 	}
 }
 
+// exampleSuites returns the examples/suites documents.
+func exampleSuites(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob("../../examples/suites/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example suites: %v", err)
+	}
+	docs := make([]string, len(paths))
+	for i, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = string(raw)
+	}
+	return docs
+}
+
 // TestPlanMatchesOfflineByteForByte is the service's core contract: a
-// /v1/plan response equals dmls-plan -format json over the same suite.
+// /v1/plan response equals dmls-plan -format json over the same suite,
+// for the fixture with planner knobs and every example suite without.
 func TestPlanMatchesOfflineByteForByte(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body, _ := post(t, ts, "/v1/plan",
-		`{"suite": `+planSuiteJSON+`, "adaptive": true, "refine": 1}`)
-	if status != 200 {
-		t.Fatalf("plan: %d %s", status, body)
+	type request struct {
+		suite, knobs string
+		opts         planner.Options
 	}
-
-	suite, err := scenario.DecodeSuite(strings.NewReader(planSuiteJSON))
-	if err != nil {
-		t.Fatal(err)
+	requests := []request{{planSuiteJSON, `, "adaptive": true, "refine": 1`, planner.Options{Prune: true, RefineRounds: 1}}}
+	for _, doc := range exampleSuites(t) {
+		requests = append(requests, request{suite: doc})
 	}
-	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{Prune: true, RefineRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := scenario.WritePlansJSON(&want, report.Export()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("served plan differs from offline plan:\nserved: %s\noffline: %s", body, want.Bytes())
+	for _, rq := range requests {
+		status, body, _ := post(t, ts, "/v1/plan", `{"suite": `+rq.suite+rq.knobs+`}`)
+		if status != 200 {
+			t.Fatalf("plan: %d %s", status, body)
+		}
+		suite, err := scenario.DecodeSuite(strings.NewReader(rq.suite))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, rq.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := scenario.WritePlansJSON(&want, report.Export()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: served plan differs from offline plan:\nserved: %s\noffline: %s", suite.Name, body, want.Bytes())
+		}
 	}
 }
 
 func TestSweepMatchesOfflineByteForByte(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+sweepSuiteJSON+`}`)
-	if status != 200 {
-		t.Fatalf("sweep: %d %s", status, body)
-	}
-	suite, err := scenario.DecodeSuite(strings.NewReader(sweepSuiteJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), suite, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := scenario.WriteResultsJSON(&want, suite.Name, results); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("served sweep differs from offline sweep:\nserved: %s\noffline: %s", body, want.Bytes())
+	for _, doc := range append(exampleSuites(t), sweepSuiteJSON) {
+		status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+doc+`}`)
+		if status != 200 {
+			t.Fatalf("sweep: %d %s", status, body)
+		}
+		suite, err := scenario.DecodeSuite(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), suite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := scenario.WriteResultsJSON(&want, suite.Name, results); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: served sweep differs from offline sweep:\nserved: %s\noffline: %s", suite.Name, body, want.Bytes())
+		}
 	}
 }
 
@@ -439,7 +470,7 @@ func TestPanicContainment(t *testing.T) {
 	// Handlers write their document straight into the response, so one
 	// that panics halfway through it must not reach the client, whether
 	// its body coalesces (the leader) or not.
-	half := s.contained("plan", s.coalesce("plan", func(w http.ResponseWriter, r *http.Request) {
+	half := s.contained("plan", s.coalesce("plan", func(w http.ResponseWriter, r *http.Request, _ []byte) {
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"plans": [`)
 		panic("kaboom")
