@@ -95,14 +95,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if code, done := h.Parse(args); done {
 		return code
 	}
-	obj, err := planner.ParseObjective(*objective)
-	if err != nil {
-		return h.Fail(err)
-	}
-	if *objective == "" {
-		obj = "" // defer to the suite's own objective
-	}
-	v.objective = obj
+	// The planner validates the knobs; an empty objective defers to the
+	// suite's own.
+	v.objective = planner.Objective(*objective)
 	v.opts = planner.Options{
 		Prune:          *adaptive,
 		RefineRounds:   *refine,

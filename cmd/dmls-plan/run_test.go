@@ -41,6 +41,9 @@ func TestExitCodes(t *testing.T) {
 		{"partial failure keep-going", []string{goodScenario, brokenScenario}, []string{"-keep-going"}, 0},
 		{"all failed", []string{brokenScenario}, nil, 1},
 		{"all failed keep-going", []string{brokenScenario}, []string{"-keep-going"}, 1},
+		{"negative max-cost", []string{goodScenario}, []string{"-max-cost", "-5"}, 1},
+		{"negative max-time", []string{goodScenario}, []string{"-max-time", "-1h"}, 1},
+		{"unknown objective", []string{goodScenario}, []string{"-objective", "fastest"}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,6 @@ func main() {
 		bandwidth       = flag.Float64("bandwidth", 1e9, "network bandwidth, bit/s")
 		protocol        = flag.String("protocol", "spark", "communication protocol: "+strings.Join(registry.LeafProtocolKinds(), ", ")+" (composed protocols need -config)")
 		maxN            = flag.Int("max", 16, "largest worker count to evaluate")
-		weak            = flag.Bool("weak", false, "weak scaling: shorthand for -family gd-weak")
 		parallelism     = flag.Int("parallel", 0, "parallelism budget for curve sampling and Monte-Carlo trials; 0 means GOMAXPROCS, 1 forces serial")
 	)
 	flag.Parse()
@@ -78,12 +77,6 @@ func main() {
 	} else {
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if *weak {
-			if explicit["family"] && *family != "gd-weak" && *family != "weak" {
-				fail(fmt.Errorf("-weak conflicts with -family %s", *family))
-			}
-			*family = "gd-weak"
-		}
 		sc = scenario.Scenario{
 			Name: "workload",
 			Workload: scenario.WorkloadSpec{

@@ -8,10 +8,9 @@ import (
 )
 
 // TestFlagScenarioBuildsThroughRegistry: the CLI's flag-assembled scenario
-// resolves every protocol name through the one registry, including the
-// "none" alias the flag interface documents.
+// resolves every protocol name through the one registry.
 func TestFlagScenarioBuildsThroughRegistry(t *testing.T) {
-	known := []string{"linear", "tree", "two-stage-tree", "spark", "ring", "shuffle", "none", "shared-memory"}
+	known := []string{"linear", "tree", "two-stage-tree", "spark", "ring", "shuffle", "shared-memory"}
 	for _, name := range known {
 		sc := scenario.Scenario{
 			Name: "flags",

@@ -100,10 +100,10 @@ type Cache[K comparable, V any] struct {
 // New returns a cache bounded to roughly capacity entries, sharded over up
 // to the requested number of stripes (rounded down to a power of two, never
 // more than capacity). hash routes keys to stripes and may be nil only when
-// stripes is 1 — a single-stripe cache is an exact LRU, the right choice
-// when entries are few and expensive (generated graphs); striped caches
-// trade exact cache-wide recency for uncontended access, the right choice
-// for many small hot entries (Monte-Carlo estimates).
+// stripes is 1. A single-stripe cache is an exact LRU; striped caches trade
+// exact cache-wide recency for uncontended access. Both registry caches use
+// one stripe: a graph model asks the estimate cache once per worker axis,
+// not once per curve point.
 func New[K comparable, V any](capacity, stripes int, hash func(K) uint64) *Cache[K, V] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("memo: capacity %d < 1", capacity))
@@ -396,16 +396,6 @@ func (c *Cache[K, V]) Reset() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.drops.Store(0)
-}
-
-// Mix folds words into one 64-bit hash by chained SplitMix64 finalization —
-// the stripe-routing companion of partition.TrialSeed's stream derivation.
-func Mix(words ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range words {
-		h = SplitMix64(h ^ w)
-	}
-	return h
 }
 
 // HashInt32s fingerprints an int32 sequence with two structurally

@@ -99,7 +99,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestStripedCacheBoundsEntries(t *testing.T) {
 	const capacity = 8
-	c := New[int, int](capacity, 4, func(k int) uint64 { return Mix(uint64(k)) })
+	c := New[int, int](capacity, 4, func(k int) uint64 { return SplitMix64(uint64(k)) })
 	if len(c.stripes) != 4 {
 		t.Fatalf("stripes = %d, want 4", len(c.stripes))
 	}
@@ -184,7 +184,7 @@ func TestSingleFlight(t *testing.T) {
 // bound from many goroutines; run with -race. Every returned value must
 // equal the key's deterministic function even while entries churn.
 func TestConcurrentEvictionHammer(t *testing.T) {
-	c := New[int, int](16, 4, func(k int) uint64 { return Mix(uint64(k)) })
+	c := New[int, int](16, 4, func(k int) uint64 { return SplitMix64(uint64(k)) })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -330,13 +330,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestMixAndHashInt32s(t *testing.T) {
-	if Mix(1, 2) == Mix(2, 1) {
-		t.Error("Mix is order-insensitive")
-	}
-	if Mix(1) == Mix(1, 0) {
-		t.Error("Mix ignores trailing words")
-	}
+func TestHashInt32s(t *testing.T) {
 	both := func(vals []int32) [2]uint64 {
 		fnv, mix := HashInt32s(vals)
 		return [2]uint64{fnv, mix}
@@ -365,7 +359,7 @@ func TestMixAndHashInt32s(t *testing.T) {
 }
 
 func BenchmarkDoHit(b *testing.B) {
-	c := New[int, float64](4096, 16, func(k int) uint64 { return Mix(uint64(k)) })
+	c := New[int, float64](4096, 16, func(k int) uint64 { return SplitMix64(uint64(k)) })
 	for i := 0; i < 64; i++ {
 		c.Do(i, func() (float64, error) { return float64(i), nil })
 	}
@@ -584,7 +578,7 @@ func TestDoBatchCoalescesWithSingles(t *testing.T) {
 // nothing.
 func TestDoCtxHitAllocatesNothing(t *testing.T) {
 	type key struct{ fnv, workers uint64 }
-	c := New[key, float64](64, 8, func(k key) uint64 { return Mix(k.fnv, k.workers) })
+	c := New[key, float64](64, 8, func(k key) uint64 { return SplitMix64(k.fnv ^ SplitMix64(k.workers)) })
 	ctx := context.Background()
 	k := key{fnv: 0x9e3779b97f4a7c15, workers: 16}
 	compute := func() (float64, error) { return 1.5, nil }

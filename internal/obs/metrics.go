@@ -9,84 +9,31 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// numStripes is the shard count for striped counters and histogram sums.
-// Must be a power of two.
-const numStripes = 8
-
-// stripeHint derives a cheap, goroutine-correlated shard index from the
-// address of a stack variable: distinct goroutines run on distinct stacks,
-// so concurrent writers spread across stripes instead of hammering one
-// cache line. The pointer is reduced to an integer immediately and never
-// escapes, so the hint allocates nothing. Any value is correct — striping
-// only affects contention, never totals.
-func stripeHint() int {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return int((p>>9)^(p>>17)) & (numStripes - 1)
-}
-
-// stripe is a cache-line-padded atomic cell so neighboring stripes do not
-// false-share.
-type stripe struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonic (or gauge-like, Add accepts negatives) counter
-// striped across cache lines. The zero value is unusable; construct
-// through a Set or NewCounter.
+// Counter is a monotonic (or gauge-like, Add accepts negatives) counter.
+// The zero value is ready to use; register one through a Set to expose it.
 type Counter struct {
-	stripes [numStripes]stripe
+	v atomic.Int64
 }
-
-// NewCounter returns a standalone counter not attached to any Set.
-func NewCounter() *Counter { return &Counter{} }
 
 // Add adds delta to the counter.
-func (c *Counter) Add(delta int64) {
-	c.stripes[stripeHint()].v.Add(delta)
-}
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value sums the stripes. Concurrent Adds may or may not be included;
-// the value is exact once writers quiesce.
-func (c *Counter) Value() int64 {
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].v.Load()
-	}
-	return total
-}
-
-// floatStripe holds a float64 as CAS-updated bits, padded like stripe.
-type floatStripe struct {
-	bits atomic.Uint64
-	_    [56]byte
-}
-
-func (f *floatStripe) add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+// Value returns the counter's current value.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Histogram is a fixed-bucket histogram: observations land in the first
 // bucket whose upper bound is >= the value, with an implicit +Inf
-// overflow bucket. Bucket counts are atomic and the running sum is
-// striped, so Observe is lock-free.
+// overflow bucket. Bucket counts are atomic and the running sum is a
+// CAS-updated float, so Observe is lock-free.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds, +Inf implicit
 	buckets []atomic.Int64
-	sums    [numStripes]floatStripe
+	sum     atomic.Uint64 // float64 bits
 }
 
 // NewHistogram returns a histogram over the given ascending upper bounds.
@@ -119,7 +66,12 @@ func CountBuckets() []float64 {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.sums[stripeHint()].add(v)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // Snapshot captures a consistent-enough view for reporting: counts per
@@ -135,9 +87,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		snap.Counts[i] = c
 		snap.Count += c
 	}
-	for i := range h.sums {
-		snap.Sum += math.Float64frombits(h.sums[i].bits.Load())
-	}
+	snap.Sum = math.Float64frombits(h.sum.Load())
 	return snap
 }
 

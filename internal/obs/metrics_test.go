@@ -8,7 +8,7 @@ import (
 )
 
 func TestCounterConcurrentSum(t *testing.T) {
-	c := NewCounter()
+	var c Counter
 	var wg sync.WaitGroup
 	const goroutines, each = 16, 1000
 	for g := 0; g < goroutines; g++ {

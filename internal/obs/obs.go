@@ -1,7 +1,7 @@
 // Package obs is the repo's zero-dependency observability substrate:
 // hierarchical spans recorded through the existing context plumbing, a
-// Chrome/Perfetto trace exporter, and lock-striped counters plus
-// fixed-bucket histograms with a Prometheus text exposition.
+// Chrome/Perfetto trace exporter, and atomic counters plus fixed-bucket
+// histograms with a Prometheus text exposition.
 //
 // The package is built around one discipline: when nothing is listening,
 // instrumentation must cost almost nothing. Start performs a single atomic

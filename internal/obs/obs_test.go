@@ -144,7 +144,7 @@ func TestConcurrentSpansAndCounters(t *testing.T) {
 	resetRecorder(t)
 	buf := NewTraceBuffer(4096)
 	SetRecorder(buf)
-	ctr := NewCounter()
+	var ctr Counter
 	var wg sync.WaitGroup
 	const goroutines, each = 8, 100
 	for g := 0; g < goroutines; g++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"dmlscale/internal/core"
@@ -35,6 +36,21 @@ type Options struct {
 	MaxCost float64
 	// MaxTimeSeconds is the analogous wall-time budget, in seconds.
 	MaxTimeSeconds float64
+}
+
+// validate rejects knobs no run can honor: negative refinement rounds and a
+// negative or NaN budget. Every front end (dmls-plan, /v1/plan, the facade)
+// passes its knobs through here.
+func (o Options) validate() error {
+	switch {
+	case o.RefineRounds < 0:
+		return fmt.Errorf("planner: negative refinement rounds %d", o.RefineRounds)
+	case !(o.MaxCost >= 0):
+		return fmt.Errorf("planner: max cost %g is negative or NaN", o.MaxCost)
+	case !(o.MaxTimeSeconds >= 0):
+		return fmt.Errorf("planner: max time %gs is negative or NaN", o.MaxTimeSeconds)
+	}
+	return nil
 }
 
 // adaptive reports whether any option changes the exhaustive pass.
@@ -87,8 +103,8 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	if err != nil {
 		return Report{}, scenario.EvalStats{}, err
 	}
-	if opts.RefineRounds < 0 {
-		return Report{}, scenario.EvalStats{}, fmt.Errorf("planner: negative refinement rounds %d", opts.RefineRounds)
+	if err := opts.validate(); err != nil {
+		return Report{}, scenario.EvalStats{}, err
 	}
 	cs, err := s.Cells()
 	if err != nil {
@@ -100,7 +116,8 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	span.SetString("suite", s.Name)
 	span.SetInt("cells", int64(n))
 	defer span.End()
-	kernelBefore := registry.KernelComputeTime()
+	var kernelNanos atomic.Int64
+	ctx = registry.WithKernelTime(ctx, &kernelNanos)
 
 	var plans []Plan
 	var stats scenario.EvalStats
@@ -136,7 +153,7 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 				scenario.CellTiming{Name: plans[i].Scenario.Name, Total: plans[i].PlanTime})
 		}
 	}
-	stats.KernelComputeTime = registry.KernelComputeTime() - kernelBefore
+	stats.KernelComputeTime = time.Duration(kernelNanos.Load())
 	markPareto(plans)
 	rankPlans(plans, objective)
 	return Report{Suite: s.Name, Objective: objective, Plans: plans}, stats, ctx.Err()

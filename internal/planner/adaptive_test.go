@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -513,6 +514,24 @@ func TestAdaptiveReportIndependentOfParallelism(t *testing.T) {
 		got, pruned := plan(8)
 		if !bytes.Equal(got, want) || pruned != wantPruned {
 			t.Fatalf("run %d at parallelism 8: report differs from the serial pass (%d pruned, serial %d)", run, pruned, wantPruned)
+		}
+	}
+}
+
+// TestPlanSuiteRejectsBadKnobs: PlanSuiteCtx, the one place every front end
+// passes its knobs through, rejects negative refinement rounds and a
+// negative or NaN budget before planning anything.
+func TestPlanSuiteRejectsBadKnobs(t *testing.T) {
+	for _, opts := range []Options{
+		{RefineRounds: -1},
+		{MaxCost: -5},
+		{MaxCost: math.NaN()},
+		{MaxTimeSeconds: -3600},
+		{MaxTimeSeconds: math.NaN()},
+	} {
+		report, _, err := PlanSuiteCtx(context.Background(), planTestSuite(), "", 0, opts)
+		if err == nil || len(report.Plans) != 0 {
+			t.Errorf("%+v: err %v, %d plans; want an error and no plans", opts, err, len(report.Plans))
 		}
 	}
 }

@@ -56,10 +56,10 @@ const (
 	ObjectivePareto Objective = "pareto"
 )
 
-// ParseObjective resolves an objective name; empty means tta. The accepted
+// parseObjective resolves an objective name; empty means tta. The accepted
 // names come from scenario.Objectives() — the single catalog the suite
 // schema validates against — so a suite that loads is a suite that plans.
-func ParseObjective(name string) (Objective, error) {
+func parseObjective(name string) (Objective, error) {
 	if name == "" {
 		return ObjectiveTTA, nil
 	}
@@ -165,12 +165,9 @@ func cancelledPlan(sc scenario.Scenario, err error) Plan {
 // one to the suite's own (itself defaulting to tta).
 func resolveObjective(s scenario.Suite, objective Objective) (Objective, error) {
 	if objective == "" {
-		return ParseObjective(s.Objective)
+		return parseObjective(s.Objective)
 	}
-	if _, err := ParseObjective(string(objective)); err != nil {
-		return "", err
-	}
-	return objective, nil
+	return parseObjective(string(objective))
 }
 
 // planOne builds the plan for one scenario, converting panics into errors so
@@ -289,23 +286,27 @@ func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice stri
 	return p
 }
 
-// curveAndOptimum samples the plan's curve over the scenario's worker range
-// (1..MaxN) and finds the optimum with OptimalWorkers backed by the sampled
-// points, so the search re-evaluates nothing and the recommendation is
-// always one of the exported curve points. The model behind at was built
-// under the scenario's worker-set hint (scenario.ModelCtx →
-// registry.WithKernelWorkerSet), so for the graph families the first
-// sampled point batch-fills every point's Monte-Carlo estimate in one
+// curveAndOptimum samples the plan's curve over the scenario's worker axis
+// (1..MaxN) and reads the optimum off it: the point of least time, ties to
+// fewer workers (the same predicted time on fewer machines, so a flat curve
+// recommends one worker). The scan is exact for any curve shape — Spark's
+// ceil(√n) aggregation waves make curves that are not unimodal — and the
+// recommendation is always one of the exported points. The model behind at
+// was built on the scenario's axis (scenario.ModelCtx →
+// registry.WithKernelAxis), so for the graph families the first sampled
+// point fills every point's Monte-Carlo estimate in one
 // common-random-numbers kernel pass and the rest of this loop reads a
 // local snapshot.
 func curveAndOptimum(sc scenario.Scenario, at func(n int) Point) ([]Point, Point) {
-	workers := sc.Workers()
-	curve := make([]Point, len(workers))
-	for i, n := range workers {
-		curve[i] = at(n)
+	curve := make([]Point, sc.MaxN())
+	best := 0
+	for i := range curve {
+		curve[i] = at(i + 1)
+		if curve[i].Time < curve[best].Time {
+			best = i
+		}
 	}
-	optN := OptimalWorkers(func(n int) float64 { return float64(curve[n-1].Time) }, sc.MaxN())
-	return curve, curve[optN-1]
+	return curve, curve[best]
 }
 
 // runCost prices a run: rate per node-hour × nodes × hours.

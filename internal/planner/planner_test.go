@@ -11,6 +11,7 @@ import (
 	"dmlscale/internal/core"
 	"dmlscale/internal/registry"
 	"dmlscale/internal/scenario"
+	"dmlscale/internal/units"
 )
 
 // weakScenario is a weak-scaling gradient-descent scenario with the given
@@ -77,7 +78,7 @@ func TestPlanScenarioConvergenceAware(t *testing.T) {
 }
 
 // TestPlanScenarioAllocs pins the allocations of one closed-form planner
-// cell: model build, 64-point curve and optimum search take 4, with or
+// cell: model build, 64-point curve and optimum search take 3, with or
 // without the race detector.
 func TestPlanScenarioAllocs(t *testing.T) {
 	sc := weakScenario("aware", tree(1e9),
@@ -87,8 +88,8 @@ func TestPlanScenarioAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("one planner cell allocated %.0f objects, pinned at 4", allocs)
+	if allocs > 3 {
+		t.Errorf("one planner cell allocated %.0f objects, pinned at 3", allocs)
 	}
 }
 
@@ -352,12 +353,12 @@ func TestPlanSuiteObjectiveResolution(t *testing.T) {
 	if _, _, err := PlanSuiteCtx(context.Background(), suite, "", 0, Options{}); err == nil {
 		t.Error("bad suite objective accepted")
 	}
-	if _, err := ParseObjective(""); err != nil {
+	if _, err := parseObjective(""); err != nil {
 		t.Errorf("empty objective should default to tta: %v", err)
 	}
 	// Every objective a suite file may carry parses here.
 	for _, name := range scenario.Objectives() {
-		if _, err := ParseObjective(name); err != nil {
+		if _, err := parseObjective(name); err != nil {
 			t.Errorf("suite objective %q does not parse: %v", name, err)
 		}
 	}
@@ -465,34 +466,113 @@ func TestExportShape(t *testing.T) {
 	}
 }
 
-func TestOptimalWorkersScanAndGolden(t *testing.T) {
+// TestCurveOptimumScan: the optimum is the sampled curve's least time,
+// ties to fewer workers, on any axis length and curve shape.
+func TestCurveOptimumScan(t *testing.T) {
+	optimum := func(maxN int, time func(n int) float64) int {
+		at := func(n int) Point { return Point{Workers: n, Time: units.Seconds(time(n))} }
+		curve, opt := curveAndOptimum(scenario.Scenario{MaxWorkers: maxN}, at)
+		if len(curve) != maxN {
+			t.Fatalf("curve has %d points, want %d", len(curve), maxN)
+		}
+		return opt.Workers
+	}
 	vshape := func(opt int) func(int) float64 {
 		return func(n int) float64 { return math.Abs(float64(n - opt)) }
 	}
-	// Scan path, interior optimum.
-	if got := OptimalWorkers(vshape(37), 100); got != 37 {
-		t.Errorf("scan optimum = %d, want 37", got)
+	if got := optimum(100, vshape(37)); got != 37 {
+		t.Errorf("interior optimum = %d, want 37", got)
 	}
-	// Golden path on a range past the scan limit.
-	if got := OptimalWorkers(vshape(7001), 20000); got != 7001 {
-		t.Errorf("golden optimum = %d, want 7001", got)
+	if got := optimum(20000, vshape(7001)); got != 7001 {
+		t.Errorf("interior optimum on a 20,000-worker axis = %d, want 7001", got)
 	}
-	// Boundary optima.
-	if got := OptimalWorkers(func(n int) float64 { return float64(n) }, 50); got != 1 {
+	// Two valleys, the deeper one first: a bracketing search that assumes
+	// one valley can settle in the other.
+	twoValleys := func(n int) float64 { return math.Min(math.Abs(float64(n-2)), 0.5+math.Abs(float64(n-15000))) }
+	if got := optimum(20000, twoValleys); got != 2 {
+		t.Errorf("two-valley optimum = %d, want 2", got)
+	}
+	if got := optimum(50, func(n int) float64 { return float64(n) }); got != 1 {
 		t.Errorf("increasing curve optimum = %d, want 1", got)
 	}
-	if got := OptimalWorkers(func(n int) float64 { return -float64(n) }, 50); got != 50 {
+	if got := optimum(50, func(n int) float64 { return -float64(n) }); got != 50 {
 		t.Errorf("decreasing curve optimum = %d, want 50", got)
 	}
-	// Flat curves keep the smallest count on both paths.
 	flat := func(int) float64 { return 1 }
-	if got := OptimalWorkers(flat, 100); got != 1 {
-		t.Errorf("flat scan optimum = %d, want 1", got)
+	for _, maxN := range []int{1, 100, 20000} {
+		if got := optimum(maxN, flat); got != 1 {
+			t.Errorf("flat curve over %d workers recommends %d, want 1", maxN, got)
+		}
 	}
-	if got := OptimalWorkers(flat, 20000); got != 1 {
-		t.Errorf("flat golden optimum = %d, want 1", got)
+}
+
+// largeAxisScenario is a strong-scaling convergence-aware scenario on a
+// large worker axis.
+func largeAxisScenario(kind string, bandwidth float64, maxN int) scenario.Scenario {
+	return scenario.Scenario{
+		Name: "large axis",
+		Workload: scenario.WorkloadSpec{
+			Family:          "gd-strong",
+			FlopsPerExample: 15e9,
+			BatchSize:       4096,
+			Parameters:      25e6,
+			PrecisionBits:   32,
+		},
+		Hardware:    scenario.HardwareSpec{Preset: "nvidia-k40"},
+		Protocol:    scenario.ProtocolSpec{Kind: kind, BandwidthBitsPerSec: bandwidth},
+		MaxWorkers:  maxN,
+		Convergence: &scenario.ConvergenceSpec{Rule: "diminishing", BaseIterations: 60000, CriticalBatchGrowth: 24},
 	}
-	if got := OptimalWorkers(flat, 1); got != 1 {
-		t.Errorf("single-point optimum = %d", got)
+}
+
+// TestLargeAxisOptimumIsCurveMinimum: recursive doubling at 100 Mbit/s
+// over 5,000 workers is fastest at 2 workers (1.34e6 s); a search that
+// assumes one valley recommended 2,048 workers at 5.28e6 s.
+func TestLargeAxisOptimumIsCurveMinimum(t *testing.T) {
+	p, err := PlanScenario(largeAxisScenario("recursive-doubling", 1e8, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Optimal.Workers != 2 || math.Abs(float64(p.Optimal.Time)/1.3413084e6-1) > 1e-6 {
+		t.Errorf("optimum = %d workers at %v s, want 2 workers at 1.3413084e6 s", p.Optimal.Workers, float64(p.Optimal.Time))
+	}
+}
+
+// TestOptimumIsCurveMinimumProperty: over 84 strong-scaling plans on axes
+// of 5,000 to 20,000 workers — Spark's √n waves, recursive doubling's
+// power-of-two steps and the pipelined tree make curves with more than one
+// valley — every plan recommends the least-time point of its own exported
+// curve, ties to fewer workers.
+func TestOptimumIsCurveMinimumProperty(t *testing.T) {
+	suite := scenario.Suite{Name: "large axes", Sweep: &scenario.Sweep{
+		Base:                 largeAxisScenario("ring", 1e9, 5000),
+		Protocols:            []string{"linear", "tree", "spark", "sqrt-waves", "ring", "recursive-doubling", "pipelined-tree"},
+		BandwidthsBitsPerSec: []float64{1e8, 1e9, 1e10, 1e11},
+		MaxWorkers:           []int{5000, 9000, 20000},
+	}}
+	report, _, err := PlanSuiteCtx(context.Background(), suite, "", 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Plans) != 84 {
+		t.Fatalf("%d plans, want 84", len(report.Plans))
+	}
+	for _, p := range report.Plans {
+		if p.Err != nil {
+			t.Fatalf("%s: %v", p.Scenario.Name, p.Err)
+		}
+		if len(p.Curve) != p.Scenario.MaxWorkers {
+			t.Fatalf("%s: curve has %d points, want %d", p.Scenario.Name, len(p.Curve), p.Scenario.MaxWorkers)
+		}
+		best := p.Curve[0]
+		for _, pt := range p.Curve {
+			if pt.Time < best.Time {
+				best = pt
+			}
+		}
+		if p.Optimal != best {
+			t.Errorf("%s: recommends %d workers (%v s), its curve's minimum is %d workers (%v s)",
+				p.Scenario.Name, p.Optimal.Workers, float64(p.Optimal.Time), best.Workers, float64(best.Time))
+		}
 	}
 }

@@ -23,8 +23,7 @@ const minRefineRatio = 1 + 1e-6
 // of neighboring worker bounds — and plans the resulting off-grid cells
 // under the same bound-and-prune regime as the coarse pass. Where the
 // declared grid stepped over a better configuration, the subdivision closes
-// in on it, extending the golden-section idea from the worker axis to the
-// sweep axes themselves.
+// in on it.
 //
 // plans and cells are position-aligned; both grow by the accepted candidates
 // and the extended slices are returned via plans. Rounds stop early when the

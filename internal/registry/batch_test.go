@@ -17,18 +17,17 @@ func batchTestDegrees() []int32 {
 	return degrees
 }
 
-// TestGraphInferenceModelBatchedMatchesSingle: a model built under a
-// worker-set hint prices every point bit-identically to one built without
-// it — common random numbers make each estimate a function of its own
-// coordinates only — while paying one batched kernel pass instead of one
-// pass per point.
+// TestGraphInferenceModelBatchedMatchesSingle: a model built on a worker
+// axis prices every point bit-identically to one built without it — common
+// random numbers make each estimate a function of its own coordinates only
+// — while paying one batched kernel pass instead of one pass per point.
 func TestGraphInferenceModelBatchedMatchesSingle(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	degrees := batchTestDegrees()
 	workers := core.Range(1, 16)
 
-	ctx := WithKernelWorkerSet(context.Background(), workers)
+	ctx := WithKernelAxis(context.Background(), len(workers))
 	batched, err := GraphInferenceModelCtx(ctx, "batched", degrees, 2, 1e9, 3, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +60,9 @@ func TestGraphInferenceModelBatchedMatchesSingle(t *testing.T) {
 			st.KernelSingles, st.KernelBatches, len(workers))
 	}
 
-	// A point outside the hinted set falls back to the single path.
+	// A point past the axis falls back to the single path.
 	ResetCaches()
-	outside, err := GraphInferenceModelCtx(WithKernelWorkerSet(context.Background(), []int{1, 2}), "outside", degrees, 2, 1e9, 3, 42)
+	outside, err := GraphInferenceModelCtx(WithKernelAxis(context.Background(), 2), "outside", degrees, 2, 1e9, 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +95,12 @@ func TestBatchFillObservesPerKey(t *testing.T) {
 	})
 	defer SetKernelObserver(nil)
 
-	ctx := WithKernelWorkerSet(context.Background(), workers)
+	ctx := WithKernelAxis(context.Background(), len(workers))
 	model, err := GraphInferenceModelCtx(ctx, "observed", degrees, 2, 1e9, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = model.Time(3) // one sampled point fills the whole set
+	_ = model.Time(3) // one sampled point fills the whole axis
 
 	if len(seen) != len(workers) {
 		t.Fatalf("observer saw %d calls, want %d (one per key)", len(seen), len(workers))
@@ -135,26 +134,5 @@ func TestBatchFillObservesPerKey(t *testing.T) {
 	}
 	if st := SnapshotCaches(); st.KernelBatches != 0 || st.KernelSingles != 0 {
 		t.Errorf("replayed batch recomputed: %d batches, %d singles", st.KernelBatches, st.KernelSingles)
-	}
-}
-
-func TestWithKernelWorkerSetNormalizes(t *testing.T) {
-	ctx := WithKernelWorkerSet(context.Background(), []int{8, 2, 2, -1, 0, 5})
-	got := KernelWorkerSet(ctx)
-	want := []int{2, 5, 8}
-	if len(got) != len(want) {
-		t.Fatalf("KernelWorkerSet = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KernelWorkerSet = %v, want %v", got, want)
-		}
-	}
-	// All-invalid input leaves the context unannotated.
-	if ws := KernelWorkerSet(WithKernelWorkerSet(context.Background(), []int{0, -3})); ws != nil {
-		t.Errorf("empty hint produced %v", ws)
-	}
-	if ws := KernelWorkerSet(context.Background()); ws != nil {
-		t.Errorf("bare context carries %v", ws)
 	}
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -33,12 +34,6 @@ const (
 	// cover 256 distinct (graph, trials, seed) kernels at 16 worker counts
 	// each before anything is evicted.
 	maxEstimateCacheEntries = 4096
-
-	// estimateCacheStripes shards the estimate cache's lock: curve points
-	// for different worker counts are sampled concurrently and each lookup
-	// is far cheaper than the degree cache's generation work, so contention
-	// matters here.
-	estimateCacheStripes = 16
 )
 
 // estimateKey identifies one Monte-Carlo maxᵢEᵢ computation: the degree
@@ -53,11 +48,6 @@ type estimateKey struct {
 	workers  int
 	trials   int
 	seed     int64
-}
-
-// hash routes an estimate key to a cache stripe.
-func (k estimateKey) hash() uint64 {
-	return memo.Mix(k.fnv, k.mix, uint64(k.vertices), uint64(k.workers), uint64(k.trials), uint64(k.seed))
 }
 
 // call converts the cache key back to the observer/fault-injection surface
@@ -91,7 +81,9 @@ var (
 	// estimateCache memoizes Monte-Carlo maxᵢEᵢ estimates process-wide, so
 	// identical estimates are computed exactly once across all sweep cells,
 	// suites and planner probes, whichever model instance asks first.
-	estimateCache = memo.New[estimateKey, float64](maxEstimateCacheEntries, estimateCacheStripes, estimateKey.hash)
+	// Single-stripe like the degree cache: a graph model asks it once per
+	// worker axis and reads every curve point from its own snapshot.
+	estimateCache = memo.New[estimateKey, float64](maxEstimateCacheEntries, 1, nil)
 )
 
 // CacheStats is a point-in-time snapshot of every process-wide registry
@@ -104,7 +96,7 @@ type CacheStats struct {
 	// actually performed.
 	Estimates memo.Stats
 	// KernelBatches counts batched kernel passes (one common-random-numbers
-	// RNG pass filling a whole worker set), KernelBatchKeys the estimates
+	// RNG pass filling a whole worker axis), KernelBatchKeys the estimates
 	// those passes filled, and KernelSingles the one-key computes — so
 	// KernelBatchKeys + KernelSingles ≈ Estimates.Misses and the batched
 	// share of kernel work is visible in -stats.
@@ -184,11 +176,31 @@ var (
 )
 
 // KernelComputeTime returns the cumulative wall time spent computing
-// Monte-Carlo kernels since process start (or the last ResetCaches).
-// Snapshot before and after a run to attribute kernel time to it; in a
-// multi-tenant server concurrent runs make per-run deltas approximate.
+// Monte-Carlo kernels since process start (or the last ResetCaches), over
+// every run in the process. A run's own share comes from WithKernelTime.
 func KernelComputeTime() time.Duration {
 	return time.Duration(kernelComputeNanos.Load())
+}
+
+// kernelTimeKey is the context key of a run's kernel-time total.
+type kernelTimeKey struct{}
+
+// WithKernelTime returns ctx carrying total, one run's kernel compute time
+// in nanoseconds: every kernel fill of a model built under ctx adds its
+// elapsed time to it, as well as to the process-wide KernelComputeTime.
+// Concurrent runs in one process each count only the fills they computed;
+// a run that waits on another run's fill, or hits the cache, adds nothing.
+func WithKernelTime(ctx context.Context, total *atomic.Int64) context.Context {
+	return context.WithValue(ctx, kernelTimeKey{}, total)
+}
+
+// addKernelTime adds one fill's elapsed time to the process-wide total and
+// to the run's, when ctx carries one.
+func addKernelTime(ctx context.Context, d time.Duration) {
+	kernelComputeNanos.Add(int64(d))
+	if total, ok := ctx.Value(kernelTimeKey{}).(*atomic.Int64); ok {
+		total.Add(int64(d))
+	}
 }
 
 // SnapshotCaches returns the current counters of the registry's caches.

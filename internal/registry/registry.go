@@ -43,7 +43,7 @@ import (
 
 // ProtocolSpec names and parameterizes a comm.Model in JSON-friendly form.
 // Leaf kinds (linear, tree, two-stage-tree, spark, sqrt-waves, ring,
-// recursive-doubling, shuffle, pipelined-tree, shared-memory/none) read the
+// recursive-doubling, shuffle, pipelined-tree, shared-memory) read the
 // scalar fields; composite kinds (sum, scale, per-iter, with-latency) wrap
 // the specs in Of.
 type ProtocolSpec struct {
@@ -128,10 +128,6 @@ func init() {
 			return comm.PipelinedTree{Bandwidth: units.BitsPerSecond(s.BandwidthBitsPerSec), Chunks: s.Chunks}, nil
 		}},
 		"shared-memory": {build: func(ProtocolSpec) (comm.Model, error) {
-			return comm.SharedMemory{}, nil
-		}},
-		// none is the CLI-friendly alias for shared-memory.
-		"none": {build: func(ProtocolSpec) (comm.Model, error) {
 			return comm.SharedMemory{}, nil
 		}},
 		"sum": {composite: true, build: func(s ProtocolSpec) (comm.Model, error) {
@@ -719,19 +715,6 @@ type Family struct {
 	Bound func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (BoundModel, error)
 }
 
-// familyAliases maps accepted spellings to canonical family names. The empty
-// family and the legacy scaling words keep old scenario files working.
-var familyAliases = map[string]string{
-	"":          "gd-strong",
-	"gd":        "gd-strong",
-	"strong":    "gd-strong",
-	"weak":      "gd-weak",
-	"async":     "async-gd",
-	"bp":        "graph-inference",
-	"gi":        "graph-inference",
-	"inference": "graph-inference",
-}
-
 // families is THE workload-family registry — the only place mapping family
 // names to model constructors.
 var families = map[string]Family{
@@ -979,6 +962,34 @@ func buildMRF(ctx context.Context, name string, spec WorkloadSpec, node hardware
 	return graphModel(ctx, name, spec, bp.OpsPerEdge(states), node, protocol)
 }
 
+// maxGraphWorkers bounds the worker axis a graph-family model is priced on.
+// The batched kernel keeps MaxN(MaxN+1)/2 load slots per trial shard and
+// cut tables of the same order, so its memory grows with the square of the
+// axis: a one-cell dmls-sweep of a 1,000-vertex dns graph at parallelism 1
+// peaks at 26 MB RSS over 1,024 workers and at 286 MB over 4,000. The
+// paper's largest axis is 80 workers.
+const maxGraphWorkers = 1024
+
+// kernelAxisKey is the context key of the worker axis a model is priced on.
+type kernelAxisKey struct{}
+
+// WithKernelAxis tells model construction under ctx that the curve will be
+// priced on the worker axis 1..maxN, so a graph-family model fills every
+// point's Monte-Carlo estimate in one common-random-numbers kernel pass on
+// its first sampled point (partition.MonteCarloMaxEdgesBatch). A
+// graph-family model built through BuildModelCtx refuses an axis above
+// maxGraphWorkers. The estimates are bit-identical with or without an axis;
+// a model built without one fills each point on its own.
+func WithKernelAxis(ctx context.Context, maxN int) context.Context {
+	return context.WithValue(ctx, kernelAxisKey{}, maxN)
+}
+
+// kernelAxis returns the axis bound ctx carries, or 0.
+func kernelAxis(ctx context.Context) int {
+	n, _ := ctx.Value(kernelAxisKey{}).(int)
+	return n
+}
+
 // graphModel builds the §IV-B inference model for the two graph families:
 // computation from the memoized Monte-Carlo maxᵢEᵢ estimate, communication
 // from the protocol moving every vertex's S-state belief (zero under the
@@ -986,6 +997,9 @@ func buildMRF(ctx context.Context, name string, spec WorkloadSpec, node hardware
 func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge float64, node hardware.Node, protocol comm.Model) (core.Model, error) {
 	if spec.Graph == nil {
 		return core.Model{}, fmt.Errorf("registry: workload %q: graph families need a graph spec", name)
+	}
+	if axis := kernelAxis(ctx); axis > maxGraphWorkers {
+		return core.Model{}, fmt.Errorf("registry: workload %q: max_workers %d is over the graph families' bound of %d workers", name, axis, maxGraphWorkers)
 	}
 	trials := spec.Trials
 	if trials == 0 {
@@ -1029,8 +1043,8 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 // Monte-Carlo trials behind a fresh estimate sharding across the shared
 // parallelism budget. Each trial draws from a partition.TrialSeed stream
 // hashed from (seed, trial) alone — common random numbers across worker
-// counts — so a whole worker set can be filled from one batched RNG pass
-// (see WithKernelWorkerSet) and the model output is bit-identical at any
+// counts — so a whole worker axis can be filled from one batched RNG pass
+// (see WithKernelAxis) and the model output is bit-identical at any
 // parallelism, batched or not. Degenerate inputs are rejected here
 // rather than surfacing as infinite speedups later; the one failure left at
 // evaluation time — a non-positive worker count passed straight to
@@ -1080,11 +1094,11 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 	}
 	// fill returns the estimates of keys (ascending workers) through the
 	// estimate cache. Only the missing keys reach the kernel, all of them
-	// in one common-random-numbers pass, so the span and the process-wide
-	// compute-time accumulator measure actual kernel work — hits and
-	// single-flight waits cost neither. The kernel runs once per fill: it
-	// fails only on bad input or cancellation, and a failed fill leaves no
-	// cache entry, so the next caller computes afresh.
+	// in one common-random-numbers pass, so the span and the compute-time
+	// totals (the run's and the process's) measure actual kernel work —
+	// hits and single-flight waits cost neither. The kernel runs once per
+	// fill: it fails only on bad input or cancellation, and a failed fill
+	// leaves no cache entry, so the next caller computes afresh.
 	fill := func(keys []estimateKey) ([]float64, error) {
 		return estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
 			kstart := time.Now()
@@ -1095,7 +1109,7 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 			kspan.SetInt("vertices", int64(len(degrees)))
 			defer func() {
 				kspan.End()
-				kernelComputeNanos.Add(int64(time.Since(kstart)))
+				addKernelTime(ctx, time.Since(kstart))
 			}()
 			wcounts := make([]int, len(missing))
 			for i, k := range missing {
@@ -1134,53 +1148,40 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 			return out, nil
 		})
 	}
-	// The batch set is the full worker axis the evaluation spine announced
-	// via WithKernelWorkerSet (scenario.ModelCtx sets it to the curve's
-	// 1..MaxN range). The first sampled point inside the set fills every
-	// point's estimate at once; points outside the set — and models built
-	// without a hint — fill their own key on each call. Either way the
-	// estimates are bit-identical; the hint only changes how many kernel
+	// The axis is the curve's 1..MaxN the evaluation spine announced
+	// (scenario.ModelCtx → WithKernelAxis). The first sampled point on it
+	// fills every point's estimate at once; points past it — and models
+	// built without one — fill their own key on each call. Either way the
+	// estimates are bit-identical; the axis only changes how many kernel
 	// passes they cost.
-	batchSet := KernelWorkerSet(ctx)
-	inBatch := make(map[int]bool, len(batchSet))
-	for _, w := range batchSet {
-		inBatch[w] = true
-	}
+	axis := kernelAxis(ctx)
 	var (
-		batchOnce sync.Once
-		batchVals map[int]float64
-		batchErr  error
+		axisOnce sync.Once
+		axisVals []float64 // the estimate for n at axisVals[n-1]
+		axisErr  error
 	)
 	maxEdges := func(n int) float64 {
 		// Guard before touching the cache so a misuse cannot occupy a slot.
 		if n < 1 {
 			panic(fmt.Errorf("registry: graph inference %q: worker count %d < 1", name, n))
 		}
-		if len(batchSet) > 1 && inBatch[n] {
-			// One fill per model instance (sync.Once) puts the whole set in
-			// a local snapshot, so the other curve points ask the shared
+		if axis > 1 && n <= axis {
+			// One fill per model instance (sync.Once) puts the whole axis
+			// in a local snapshot, so the other curve points ask the shared
 			// cache nothing at all. A failed fill fails this model instance
 			// only; the cache dropped the failed entries, so the next model
 			// built on these coordinates refills them.
-			batchOnce.Do(func() {
-				keys := make([]estimateKey, len(batchSet))
-				for i, w := range batchSet {
-					keys[i] = keyFor(w)
+			axisOnce.Do(func() {
+				keys := make([]estimateKey, axis)
+				for i := range keys {
+					keys[i] = keyFor(i + 1)
 				}
-				vals, err := fill(keys)
-				if err != nil {
-					batchErr = err
-					return
-				}
-				batchVals = make(map[int]float64, len(batchSet))
-				for i, w := range batchSet {
-					batchVals[w] = vals[i]
-				}
+				axisVals, axisErr = fill(keys)
 			})
-			if batchErr != nil {
-				panic(fmt.Errorf("registry: graph inference %q: %w", name, batchErr))
+			if axisErr != nil {
+				panic(fmt.Errorf("registry: graph inference %q: %w", name, axisErr))
 			}
-			return batchVals[n]
+			return axisVals[n-1]
 		}
 		vals, err := fill([]estimateKey{keyFor(n)})
 		if err != nil {
@@ -1196,10 +1197,11 @@ func graphInferenceModel(ctx context.Context, name string, entry degreeEntry, op
 	}, nil
 }
 
-// CanonicalFamily resolves a family name or alias to its registry key.
+// CanonicalFamily resolves a family name to its registry key; the empty
+// name means gd-strong.
 func CanonicalFamily(name string) (string, error) {
-	if canonical, ok := familyAliases[name]; ok {
-		name = canonical
+	if name == "" {
+		name = "gd-strong"
 	}
 	if _, ok := families[name]; !ok {
 		return "", fmt.Errorf("registry: unknown workload family %q (known: %s)", name, joined(Families()))
@@ -1207,7 +1209,7 @@ func CanonicalFamily(name string) (string, error) {
 	return name, nil
 }
 
-// LookupFamily returns the registry row for a family name or alias.
+// LookupFamily returns the registry row for a family name.
 func LookupFamily(name string) (Family, error) {
 	canonical, err := CanonicalFamily(name)
 	if err != nil {
@@ -1234,7 +1236,7 @@ func BuildModelCtx(ctx context.Context, family, name string, spec WorkloadSpec, 
 }
 
 // BuildIterationModel constructs the per-iteration planning hook of a
-// family, resolving aliases like LookupFamily. ok is false (with a nil
+// family, resolving its name like LookupFamily. ok is false (with a nil
 // error) for families that have no iteration/batch notion — the
 // graph-inference families — where convergence-aware planning has no meaning
 // and callers fall back to per-iteration ranking.
@@ -1254,7 +1256,7 @@ func BuildIterationModel(family, name string, spec WorkloadSpec, node hardware.N
 }
 
 // BuildBoundModel constructs the optimistic lower-bound decomposition of a
-// family, resolving aliases like LookupFamily. ok is false (with a nil
+// family, resolving its name like LookupFamily. ok is false (with a nil
 // error) for families without a bound hook — the graph-inference families,
 // whose compute term lives behind the Monte-Carlo kernel — whose cells the
 // adaptive planner then never prunes.

@@ -240,23 +240,52 @@ func xeon(t *testing.T) hardware.Node {
 	return node
 }
 
+// TestFamilyAliases: a family has one spelling, its registry key; only the
+// empty family resolves, to gd-strong.
 func TestFamilyAliases(t *testing.T) {
-	for alias, want := range map[string]string{
-		"": "gd-strong", "gd": "gd-strong", "strong": "gd-strong",
-		"weak": "gd-weak", "gd-weak": "gd-weak",
-		"async": "async-gd", "bp": "graph-inference", "mrf": "mrf",
-	} {
-		got, err := CanonicalFamily(alias)
-		if err != nil {
-			t.Errorf("%q: %v", alias, err)
-			continue
+	for _, name := range append(Families(), "") {
+		want := name
+		if name == "" {
+			want = "gd-strong"
 		}
-		if got != want {
-			t.Errorf("%q → %q, want %q", alias, got, want)
+		if got, err := CanonicalFamily(name); err != nil || got != want {
+			t.Errorf("%q → %q, %v; want %q", name, got, err, want)
 		}
 	}
-	if _, err := CanonicalFamily("quantum"); err == nil {
-		t.Error("unknown family accepted")
+	for _, name := range []string{"quantum", "gd", "strong", "weak", "async", "bp", "gi", "inference"} {
+		if _, err := CanonicalFamily(name); err == nil {
+			t.Errorf("family %q accepted", name)
+		}
+	}
+	if _, err := Protocol(ProtocolSpec{Kind: "none"}); err == nil {
+		t.Error("protocol kind none accepted; shared-memory is its one spelling")
+	}
+}
+
+// TestGraphAxisBound: a graph-family model refuses a worker axis of 1,025
+// before generating its graph, with an error that names the bound, and
+// prices an axis of 1,024 in one kernel pass.
+func TestGraphAxisBound(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	spec := WorkloadSpec{Graph: &GraphSpec{Family: "dns", Vertices: 1000, Seed: 1}, OpsPerEdge: 14, Trials: 1}
+	ctx := context.Background()
+	_, err := BuildModelCtx(WithKernelAxis(ctx, 1025), "graph-inference", "over", spec, xeon(t), nil)
+	if err == nil || !strings.Contains(err.Error(), "bound of 1024 workers") {
+		t.Fatalf("axis of 1,025 workers: err = %v, want the bound of 1024 named", err)
+	}
+	if st := SnapshotCaches(); st.Degrees.Misses != 0 || st.Estimates.Misses != 0 {
+		t.Fatalf("a refused axis generated its graph or priced estimates: %+v", st)
+	}
+	model, err := BuildModelCtx(WithKernelAxis(ctx, 1024), "graph-inference", "at bound", spec, xeon(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := float64(model.Time(1024)); !(tm > 0) || math.IsInf(tm, 0) {
+		t.Errorf("t(1024) = %v", tm)
+	}
+	if st := SnapshotCaches(); st.KernelBatches != 1 || st.KernelBatchKeys != 1024 {
+		t.Errorf("axis of 1,024 workers: %d batches filling %d keys, want 1 filling 1024", st.KernelBatches, st.KernelBatchKeys)
 	}
 }
 
@@ -777,12 +806,12 @@ func TestIterationModels(t *testing.T) {
 		}
 	}
 
-	async, ok, err := BuildIterationModel("async", "async", WorkloadSpec{
+	async, ok, err := BuildIterationModel("async-gd", "async", WorkloadSpec{
 		Family: "async-gd", FlopsPerExample: 72e6, BatchSize: 60000,
 		Parameters: 12e6, PrecisionBits: 64, ConvergencePenalty: 0.05,
 	}, node, protocol)
 	if err != nil || !ok {
-		t.Fatalf("async-gd hook (via alias): ok %v, err %v", ok, err)
+		t.Fatalf("async-gd hook: ok %v, err %v", ok, err)
 	}
 	if k := async.BatchGrowth(8); k != 1 {
 		t.Errorf("async batch growth = %v, want 1", k)

@@ -144,9 +144,13 @@ func TestLegacyScalingField(t *testing.T) {
 	if _, err := sc.Model(); err == nil {
 		t.Error("conflicting scaling/family accepted")
 	}
-	sc.Workload.Family = "weak" // alias of the same family: fine
+	sc.Workload.Family = "gd-weak" // the same family: fine
 	if _, err := sc.Model(); err != nil {
-		t.Errorf("matching alias rejected: %v", err)
+		t.Errorf("matching family rejected: %v", err)
+	}
+	sc.Workload.Family = "weak" // a scaling word is not a family name
+	if _, err := sc.Model(); err == nil {
+		t.Error("family \"weak\" accepted")
 	}
 }
 

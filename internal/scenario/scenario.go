@@ -76,9 +76,9 @@ func (s Scenario) Family() (string, error) {
 	switch s.Scaling {
 	case "":
 	case "strong", "weak":
-		legacy, err := registry.CanonicalFamily(s.Scaling)
-		if err != nil {
-			return "", err
+		legacy := "gd-strong"
+		if s.Scaling == "weak" {
+			legacy = "gd-weak"
 		}
 		if name == "" {
 			name = legacy
@@ -189,12 +189,13 @@ func (s Scenario) ModelCtx(ctx context.Context) (core.Model, error) {
 	if err != nil {
 		return core.Model{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	// Announce the curve's full worker axis to model construction: the
-	// graph families batch-fill the whole set's Monte-Carlo estimates from
-	// one common-random-numbers kernel pass on the first sampled point —
-	// sweeps, suite cells and every planner probe (grid and refined alike)
-	// route through here, so they all price their curves batched.
-	ctx = registry.WithKernelWorkerSet(ctx, s.Workers())
+	// Announce the curve's worker axis 1..MaxN to model construction: the
+	// graph families fill the whole axis's Monte-Carlo estimates from one
+	// common-random-numbers kernel pass on the first sampled point, and
+	// refuse an axis the kernel cannot afford. Sweeps, suite cells and
+	// every planner probe (grid and refined alike) route through here, so
+	// they all price their curves batched.
+	ctx = registry.WithKernelAxis(ctx, s.MaxN())
 	model, err := registry.BuildModelCtx(ctx, family, s.Name, s.Workload, node, protocol)
 	if err != nil {
 		return core.Model{}, fmt.Errorf("scenario %q: %w", s.Name, err)

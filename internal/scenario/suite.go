@@ -9,6 +9,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dmlscale/internal/core"
@@ -181,10 +182,11 @@ type EvalStats struct {
 	ResumedCells int
 	// KernelComputeTime is how much of the pass went into actually
 	// computing Monte-Carlo kernels (cache misses; hits cost nothing),
-	// measured as the registry accumulator's delta across the pass. It
-	// overlaps BuildTime/SampleTime/PlanTime — it attributes them, it does
-	// not add to them. Concurrent passes in one process (a busy server)
-	// make the delta approximate.
+	// summed over the kernel fills this pass computed
+	// (registry.WithKernelTime), so concurrent passes in one process (a
+	// busy server) do not count each other's. It overlaps
+	// BuildTime/SampleTime/PlanTime — it attributes them, it does not add
+	// to them.
 	KernelComputeTime time.Duration
 	// SlowestCells are the top few cells by wall time, descending — where
 	// an extended -stats report points first. Total is always set; Build
@@ -287,7 +289,8 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 	span.SetString("suite", s.Name)
 	span.SetInt("cells", int64(n))
 	defer span.End()
-	kernelBefore := registry.KernelComputeTime()
+	var kernelNanos atomic.Int64
+	ctx = registry.WithKernelTime(ctx, &kernelNanos)
 	results := make([]Result, n)
 	evaluated := make([]core.JobResult, n)
 	var resumed []bool
@@ -359,7 +362,7 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 			Sample: ev.SampleTime,
 		})
 	}
-	stats.KernelComputeTime = registry.KernelComputeTime() - kernelBefore
+	stats.KernelComputeTime = time.Duration(kernelNanos.Load())
 	return results, stats, ctx.Err()
 }
 

@@ -363,7 +363,7 @@ func TestEvaluateSuiteAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		sc  Scenario
 		pin float64
-	}{{Fig2(), 32}, {Fig4(), 55}} {
+	}{{Fig2(), 31}, {Fig4(), 46}} {
 		suite := Suite{Name: "allocs", Scenarios: []Scenario{tc.sc}}
 		allocs := testing.AllocsPerRun(20, func() {
 			results, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)

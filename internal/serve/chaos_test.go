@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -342,4 +343,96 @@ func TestShedUnderLoad(t *testing.T) {
 		t.Errorf("shed_total = %d, want %d", got, shed)
 	}
 	checkBudgetIntact(t)
+}
+
+// TestKernelTimePerRequest: a request's access-log kernel_ms counts only
+// the kernel fills that request computed. The fault hook holds three cold
+// requests over distinct graphs inside their fills together, a warm
+// request runs while they are held, and then the per-request times sum
+// exactly to the process-wide counter's delta, and the warm request's is 0.
+func TestKernelTimePerRequest(t *testing.T) {
+	var logBuf syncBuffer
+	_, ts := newTestServer(t, Config{AccessLog: &logBuf})
+	warm := graphSuite(freshSeed())
+	if status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+warm+`}`); status != 200 {
+		t.Fatalf("prewarm: %d %s", status, body)
+	}
+
+	const cold = 3
+	entered := make(chan struct{}, cold)
+	release := make(chan struct{})
+	registry.SetKernelFault(func(call registry.KernelCall) registry.KernelFault {
+		// The hook sees each key of a fill; hold the fill at its first.
+		if call.Workers == 1 {
+			entered <- struct{}{}
+			<-release
+		}
+		return registry.KernelFault{}
+	})
+	defer registry.SetKernelFault(nil)
+	before := registry.KernelComputeTime()
+	var wg sync.WaitGroup
+	for range cold {
+		body := `{"suite": ` + graphSuite(freshSeed()) + `}`
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("cold sweep: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("cold sweep: status %d", resp.StatusCode)
+			}
+		}()
+	}
+	for range cold {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(release)
+			wg.Wait()
+			t.Fatal("cold fills never reached the kernel together")
+		}
+	}
+	status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+warm+`}`)
+	close(release)
+	wg.Wait()
+	if status != 200 {
+		t.Fatalf("warm sweep: %d %s", status, body)
+	}
+	delta := registry.KernelComputeTime() - before
+
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != 2+cold {
+		t.Fatalf("access log has %d lines, want %d", len(lines), 2+cold)
+	}
+	kernel := make([]time.Duration, len(lines))
+	for i, line := range lines {
+		var entry struct {
+			KernelMS float64 `json:"kernel_ms"`
+		}
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("access log line %q: %v", line, err)
+		}
+		kernel[i] = time.Duration(math.Round(entry.KernelMS * float64(time.Millisecond)))
+	}
+	// The cold requests finish only after the release, so the warm one
+	// logged second.
+	if kernel[1] != 0 {
+		t.Errorf("warm request during cold fills logged kernel_ms %v, want 0", kernel[1])
+	}
+	var sum time.Duration
+	for _, d := range kernel[2:] {
+		if d <= 0 {
+			t.Errorf("cold request logged kernel time %v", d)
+		}
+		sum += d
+	}
+	if sum != delta {
+		t.Errorf("cold requests' kernel times sum to %v, the process-wide delta is %v", sum, delta)
+	}
 }

@@ -32,7 +32,7 @@ func FuzzPlanRequest(f *testing.F) {
 		`{"suite": {"name": "x"}}`,
 		`{"suite": ` + planSuiteJSON + `, "unknown_knob": 1}`,
 		`{"suite": ` + planSuiteJSON + `, "objective": "fastest"}`,
-		// Conflicting or invalid budget fields.
+		// Invalid budget fields, and max_time_seconds, which is no field.
 		`{"suite": ` + planSuiteJSON + `, "max_time": "2h", "max_time_seconds": 7200}`,
 		`{"suite": ` + planSuiteJSON + `, "max_time": "-1h"}`,
 		`{"suite": ` + planSuiteJSON + `, "max_time_seconds": -5}`,

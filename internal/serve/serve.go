@@ -391,7 +391,8 @@ func (s *Server) contained(route string, h func(http.ResponseWriter, *http.Reque
 // accessEntry is one structured access-log line: request identity, outcome,
 // and the evaluation's phase breakdown in milliseconds. Phase fields are
 // summed across cells, so under parallel evaluation they legitimately
-// exceed duration_ms; kernel_ms attributes (overlaps) the others.
+// exceed duration_ms; kernel_ms attributes (overlaps) the others, and counts
+// only the kernel fills this request computed.
 type accessEntry struct {
 	Time       string  `json:"time"`
 	TraceID    string  `json:"trace_id"`
@@ -590,8 +591,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte
 }
 
 // PlanRequest is the POST /v1/plan body: the planning suite plus the same
-// knobs dmls-plan exposes as flags. MaxTime and MaxTimeSeconds are two
-// spellings of one budget — setting both is a conflict, rejected 400.
+// knobs dmls-plan exposes as flags. The planner validates them, so a knob
+// it rejects is a 400.
 type PlanRequest struct {
 	// Suite is the suite (or single-scenario) document, verbatim.
 	Suite json.RawMessage `json:"suite"`
@@ -606,10 +607,8 @@ type PlanRequest struct {
 	Refine int `json:"refine,omitempty"`
 	// MaxCost is the cost budget per run; 0 means unconstrained.
 	MaxCost float64 `json:"max_cost,omitempty"`
-	// MaxTimeSeconds is the wall-time budget per run, in seconds.
-	MaxTimeSeconds float64 `json:"max_time_seconds,omitempty"`
-	// MaxTime is the same budget as a Go duration string ("90m", "2h").
-	// Conflicts with MaxTimeSeconds.
+	// MaxTime is the wall-time budget per run as a Go duration string
+	// ("90m", "2h"); empty means unconstrained.
 	MaxTime string `json:"max_time,omitempty"`
 	// Parallelism caps this request's suite-level workers within the shared
 	// budget; 0 means no extra cap.
@@ -619,33 +618,14 @@ type PlanRequest struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
-// options validates the request's planner knobs into planner.Options.
+// options turns the request's planner knobs into planner.Options, parsing
+// max_time; PlanSuiteCtx validates the rest.
 func (req PlanRequest) options() (planner.Options, error) {
-	if req.Refine < 0 {
-		return planner.Options{}, fmt.Errorf("negative refine %d", req.Refine)
-	}
-	if req.MaxCost < 0 {
-		return planner.Options{}, fmt.Errorf("negative max_cost %g", req.MaxCost)
-	}
-	if req.MaxTimeSeconds < 0 {
-		return planner.Options{}, fmt.Errorf("negative max_time_seconds %g", req.MaxTimeSeconds)
-	}
-	opts := planner.Options{
-		Prune:          req.Adaptive,
-		RefineRounds:   req.Refine,
-		MaxCost:        req.MaxCost,
-		MaxTimeSeconds: req.MaxTimeSeconds,
-	}
+	opts := planner.Options{Prune: req.Adaptive, RefineRounds: req.Refine, MaxCost: req.MaxCost}
 	if req.MaxTime != "" {
-		if req.MaxTimeSeconds != 0 {
-			return planner.Options{}, fmt.Errorf("max_time and max_time_seconds both set; pick one")
-		}
 		d, err := time.ParseDuration(req.MaxTime)
 		if err != nil {
 			return planner.Options{}, fmt.Errorf("bad max_time: %v", err)
-		}
-		if d < 0 {
-			return planner.Options{}, fmt.Errorf("negative max_time %v", d)
 		}
 		opts.MaxTimeSeconds = d.Seconds()
 	}
@@ -673,15 +653,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, body []byte)
 		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
 		return
 	}
-	obj, err := planner.ParseObjective(req.Objective)
-	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	if req.Objective == "" {
-		obj = "" // defer to the suite's own objective
-	}
 	suite, err := s.decodeSuite(req.Suite)
 	if err != nil {
 		s.badRequests.Inc()
@@ -690,11 +661,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, body []byte)
 	}
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	report, st, err := planner.PlanSuiteCtx(ctx, suite, obj, req.Parallelism, opts)
+	// An empty objective defers to the suite's own.
+	report, st, err := planner.PlanSuiteCtx(ctx, suite, planner.Objective(req.Objective), req.Parallelism, opts)
 	noteStats(r, st)
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// Suite-shape errors the cap check could not see (bad objective in
-		// the suite file, negative refine) are the client's.
+		// Errors the cap check could not see (an unknown objective, a
+		// negative refine or budget) are the client's.
 		s.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
 		return

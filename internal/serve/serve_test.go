@@ -18,6 +18,7 @@ import (
 
 	"dmlscale/internal/obs"
 	"dmlscale/internal/planner"
+	"dmlscale/internal/registry"
 	"dmlscale/internal/scenario"
 )
 
@@ -83,8 +84,8 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte, ht
 }
 
 // TestHandlerAllocs pins the allocations of one request through the
-// in-process handler, on the kernel-free fixtures: 220 for the plan and
-// 270 for the sweep. A change that allocates more per request fails here
+// in-process handler, on the kernel-free fixtures: 218 for the plan and
+// 260 for the sweep. A change that allocates more per request fails here
 // and must say why it pays.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -104,7 +105,7 @@ func TestHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		path, suite string
 		pin         float64
-	}{{"/v1/plan", planSuiteJSON, 220}, {"/v1/sweep", sweepSuiteJSON, 270}} {
+	}{{"/v1/plan", planSuiteJSON, 218}, {"/v1/sweep", sweepSuiteJSON, 260}} {
 		body := `{"suite": ` + tc.suite + `}`
 		allocs := testing.AllocsPerRun(20, func() {
 			rec := httptest.NewRecorder()
@@ -358,29 +359,34 @@ func TestSweepMatchesOfflineByteForByte(t *testing.T) {
 	}
 }
 
+// TestPlanRejects: every malformed body, and every knob the planner
+// rejects, answers a structured 400 that names its reason and counts in
+// bad_requests_total.
 func TestPlanRejects(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxCells: 3})
+	s, ts := newTestServer(t, Config{MaxCells: 4})
+	sixCells := strings.Replace(planSuiteJSON, "[1e9, 10e9]", "[1e9, 10e9, 100e9]", 1)
 	cases := []struct {
-		name, body string
+		name, body, want string
 	}{
-		{"malformed json", `{`},
-		{"not an object", `[1,2,3]`},
-		{"trailing garbage", `{"suite": ` + planSuiteJSON + `} extra`},
-		{"unknown field", `{"suite": ` + planSuiteJSON + `, "objektive": "tta"}`},
-		{"missing suite", `{"objective": "tta"}`},
-		{"bad objective", `{"suite": ` + planSuiteJSON + `, "objective": "fastest"}`},
-		{"conflicting budgets", `{"suite": ` + planSuiteJSON + `, "max_time": "2h", "max_time_seconds": 7200}`},
-		{"bad max_time", `{"suite": ` + planSuiteJSON + `, "max_time": "two hours"}`},
-		{"negative refine", `{"suite": ` + planSuiteJSON + `, "refine": -1}`},
-		{"negative max_cost", `{"suite": ` + planSuiteJSON + `, "max_cost": -5}`},
-		{"bad deadline", `{"suite": ` + planSuiteJSON + `, "deadline": "soon"}`},
-		{"oversized grid", `{"suite": ` + planSuiteJSON + `}`}, // 4 cells > MaxCells 3
-		{"suite not json", `{"suite": "nope"}`},
+		{"malformed json", `{`, "bad plan request"},
+		{"not an object", `[1,2,3]`, "bad plan request"},
+		{"trailing garbage", `{"suite": ` + planSuiteJSON + `} extra`, "trailing data"},
+		{"unknown field", `{"suite": ` + planSuiteJSON + `, "objektive": "tta"}`, `unknown field \"objektive\"`},
+		{"missing suite", `{"objective": "tta"}`, `missing \"suite\"`},
+		{"bad objective", `{"suite": ` + planSuiteJSON + `, "objective": "fastest"}`, `unknown objective \"fastest\"`},
+		{"max_time_seconds is no field", `{"suite": ` + planSuiteJSON + `, "max_time_seconds": 7200}`, `unknown field \"max_time_seconds\"`},
+		{"bad max_time", `{"suite": ` + planSuiteJSON + `, "max_time": "two hours"}`, "bad max_time"},
+		{"negative max_time", `{"suite": ` + planSuiteJSON + `, "max_time": "-1h"}`, "max time -3600s is negative"},
+		{"negative refine", `{"suite": ` + planSuiteJSON + `, "refine": -1}`, "negative refinement rounds -1"},
+		{"negative max_cost", `{"suite": ` + planSuiteJSON + `, "max_cost": -5}`, "max cost -5 is negative"},
+		{"bad deadline", `{"suite": ` + planSuiteJSON + `, "deadline": "soon"}`, "bad deadline"},
+		{"oversized grid", `{"suite": ` + sixCells + `}`, "6 cells, over the server's limit of 4"},
+		{"suite not json", `{"suite": "nope"}`, "bad plan request"},
 	}
 	for _, tc := range cases {
 		status, body, _ := post(t, ts, "/v1/plan", tc.body)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d (want 400), body %s", tc.name, status, body)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d, body %s; want 400 naming %q", tc.name, status, body, tc.want)
 		}
 		var e apiError
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
@@ -540,5 +546,40 @@ func TestRunDrain(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after drain")
+	}
+}
+
+// TestServedSweepBoundsGraphAxis: a sweep of a graph cell over 1,000,000
+// workers answers with the cell's error, which names the bound, and prices
+// nothing: no graph generated, no kernel batch allocated.
+func TestServedSweepBoundsGraphAxis(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	suite := `{"name": "huge axis", "scenarios": [{
+	  "name": "bp dns",
+	  "workload": {"family": "mrf", "graph": {"family": "dns", "vertices": 1000, "seed": 5}, "states": 2},
+	  "hardware": {"preset": "dl980-core"},
+	  "protocol": {"kind": "shared-memory"},
+	  "max_workers": 1000000
+	}]}`
+	before := registry.SnapshotCaches()
+	status, body, _ := post(t, ts, "/v1/sweep", `{"suite": `+suite+`}`)
+	if status != 200 {
+		t.Fatalf("sweep: %d %s", status, body)
+	}
+	var doc struct {
+		Results []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Results) != 1 {
+		t.Fatalf("sweep response %s: %v", body, err)
+	}
+	if !strings.Contains(doc.Results[0].Error, "bound of 1024 workers") {
+		t.Errorf("cell error %q does not name the bound", doc.Results[0].Error)
+	}
+	after := registry.SnapshotCaches()
+	if after.Degrees.Misses != before.Degrees.Misses || after.KernelBatches != before.KernelBatches ||
+		after.KernelSingles != before.KernelSingles || after.Estimates.Misses != before.Estimates.Misses {
+		t.Errorf("a refused axis priced work: caches went from %+v to %+v", before, after)
 	}
 }
