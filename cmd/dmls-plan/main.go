@@ -21,7 +21,9 @@
 // and bit-identical at any setting. -stats reports the process-wide cache
 // counters on stderr — planner probes price their models through the same
 // Monte-Carlo kernel cache the sweeps use, so a grid over one graph shows a
-// high hit ratio here too.
+// high hit ratio here too — and the curve points the pass priced beside
+// those the report holds: cells that differ only in their worker bound
+// read prefixes of one curve.
 //
 // Adaptive planning:
 //
@@ -69,6 +71,7 @@ func main() {
 // given writers, cancellation from ctx, the exit code returned instead of
 // called.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	v := &plan{}
 	h := cli.New(cli.Command{
 		Name: "dmls-plan",
 		Usage: cli.Usage{
@@ -80,8 +83,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Resume:      "replay the -checkpoint journal (validated against this suite) so already-paid-for kernel estimates are served from cache; a missing or empty journal starts fresh",
 		},
 		Example: exampleSuite,
-		Stats:   statsReport,
-		Done:    "planned",
+		Stats: func(st scenario.EvalStats, caches registry.CacheStats, elapsed time.Duration) string {
+			return statsReport(st, v.report, caches, elapsed)
+		},
+		Done: "planned",
 	}, stdout, stderr)
 	fs := h.Flags
 	var (
@@ -90,8 +95,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		refine    = fs.Int("refine", 0, "rounds of frontier refinement: subdivide numeric sweep axes next to frontier cells")
 		maxCost   = fs.Float64("max-cost", 0, "cost budget per run; recommendations are constrained to it, 0 means unconstrained")
 		maxTime   = fs.Duration("max-time", 0, "wall-time budget per run (e.g. 90m, 2h); 0 means unconstrained")
-		v         = &plan{curves: fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")}
 	)
+	v.curves = fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")
 	if code, done := h.Parse(args); done {
 		return code
 	}
@@ -172,11 +177,13 @@ func (v *plan) Failed() (failed, total int) {
 }
 
 // statsReport renders the -stats block: how many cells were planned versus
-// pruned on their bound, what refinement added, how long the pass took and
-// where that wall time went (bound pass, refinement rounds, per-cell
-// planning, kernel compute), the slowest cells, and the process-wide cache
-// counters (which, in a CLI run, cover exactly this planning pass).
-func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time.Duration) string {
+// pruned on their bound, what refinement added, how many curve points the
+// pass priced against how many the report holds (cells over one model share
+// its curve), how long the pass took and where that wall time went (bound
+// pass, refinement rounds, per-cell planning, kernel compute), the slowest
+// cells, and the process-wide cache counters (which, in a CLI run, cover
+// exactly this planning pass).
+func statsReport(st scenario.EvalStats, report planner.Report, caches registry.CacheStats, elapsed time.Duration) string {
 	out := fmt.Sprintf("stats: %d cells planned in %v (%d evaluated, %d pruned, %d failed",
 		st.Scenarios, elapsed.Round(time.Microsecond), st.Evaluated, st.Pruned, st.Failed)
 	if st.Cancelled > 0 {
@@ -186,6 +193,11 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	if st.RefineRounds > 0 {
 		out += fmt.Sprintf("stats: refinement added %d cells over %d rounds\n", st.Refined, st.RefineRounds)
 	}
+	points := 0
+	for _, p := range report.Plans {
+		points += len(p.Curve)
+	}
+	out += fmt.Sprintf("stats: curve points: %d priced, %d in the report\n", st.PricedPoints, points)
 	out += fmt.Sprintf("stats: wall split: bound %v, refine %v, cell planning %v summed, kernel compute %v\n",
 		st.BoundTime.Round(time.Microsecond), st.RefineTime.Round(time.Microsecond),
 		st.PlanTime.Round(time.Microsecond), st.KernelComputeTime.Round(time.Microsecond))

@@ -65,7 +65,7 @@ func run(args []string, stderr *os.File) int {
 		deadline     = fs.Duration("deadline", 30*time.Second, "default per-request evaluation deadline")
 		maxDeadline  = fs.Duration("max-deadline", 2*time.Minute, "upper clamp on client-requested deadlines")
 		maxInFlight  = fs.Int("max-inflight", 8, "max concurrently evaluating requests; excess sheds with 429")
-		maxCells     = fs.Int("max-cells", 4096, "largest suite grid a request may expand to")
+		maxCells     = fs.Int("max-cells", 4096, "largest suite grid a request may expand to; it also caps the curve points a request prices (the sum of its cells' max_workers) at 1,024 per cell")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "grace for in-flight requests on SIGTERM before their contexts are cancelled")
 		parallelism  = fs.Int("parallel", 0, "process-wide parallelism budget; 0 means GOMAXPROCS")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables profiling")

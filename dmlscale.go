@@ -116,7 +116,8 @@ type (
 type (
 	// Plan is the planner's answer for one scenario: the optimal worker
 	// count, its predicted time(-to-accuracy), iterations and cost, the
-	// full curve, and frontier membership.
+	// full curve, and frontier membership. Plans of one report may share
+	// a curve's backing array, so Plan.Curve is read-only.
 	Plan = planner.Plan
 	// PlanPoint is one sampled configuration of a plan.
 	PlanPoint = planner.Point

@@ -503,3 +503,76 @@ func TestMonteCarloBatchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// exactMaxLoad enumerates all workersᵛ assignments of the degree sequence
+// and returns the exact mean and standard deviation of one trial's
+// MaxLoad under the uniform assignment the kernel samples.
+func exactMaxLoad(degrees []int32, workers int) (mean, sigma float64) {
+	var edges int64
+	for _, d := range degrees {
+		edges += int64(d)
+	}
+	dup := DupCorrection(len(degrees), edges/2, workers)
+	owner := make([]int, len(degrees))
+	loads := make([]int64, workers)
+	// each calls f with the MaxLoad of every assignment, odometer order.
+	each := func(f func(x float64)) {
+		clear(owner)
+		for {
+			clear(loads)
+			for v, d := range degrees {
+				loads[owner[v]] += int64(d)
+			}
+			f(MaxLoad(loads, dup))
+			v := 0
+			for ; v < len(owner) && owner[v] == workers-1; v++ {
+				owner[v] = 0
+			}
+			if v == len(owner) {
+				return
+			}
+			owner[v]++
+		}
+	}
+	total := math.Pow(float64(workers), float64(len(degrees)))
+	sum := 0.0
+	each(func(x float64) { sum += x })
+	mean = sum / total
+	squares := 0.0
+	each(func(x float64) { squares += (x - mean) * (x - mean) })
+	return mean, math.Sqrt(squares / total)
+}
+
+// TestMonteCarloMatchesExactOracle checks the estimator against ground
+// truth: on graphs small enough to enumerate every assignment, the
+// 10,000-trial estimate lies within 4σ/√10,000 of the exact mean for seeds
+// 1–5, and is exact on one worker, where every trial is the same.
+func TestMonteCarloMatchesExactOracle(t *testing.T) {
+	const trials = 10000
+	for _, g := range []struct {
+		name    string
+		degrees []int32
+	}{
+		{"path of 8", []int32{1, 2, 2, 2, 2, 2, 2, 1}},
+		{"star of 9", []int32{8, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{"mixed 10", []int32{4, 3, 3, 2, 2, 2, 2, 2, 1, 1}},
+	} {
+		for workers := 1; workers <= 4; workers++ {
+			mean, sigma := exactMaxLoad(g.degrees, workers)
+			tol := 4 * sigma / math.Sqrt(trials)
+			for seed := int64(1); seed <= 5; seed++ {
+				est, err := MonteCarloMaxEdges(g.degrees, workers, trials, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 && est.MaxEdges != mean {
+					t.Errorf("%s, 1 worker, seed %d: estimate %v, exact %v", g.name, seed, est.MaxEdges, mean)
+				}
+				if diff := math.Abs(est.MaxEdges - mean); diff > tol {
+					t.Errorf("%s, %d workers, seed %d: estimate %v, exact mean %v (σ %v): off by %.2fσ/√trials",
+						g.name, workers, seed, est.MaxEdges, mean, sigma, diff/(sigma/math.Sqrt(trials)))
+				}
+			}
+		}
+	}
+}

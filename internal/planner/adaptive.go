@@ -121,21 +121,24 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 
 	var plans []Plan
 	var stats scenario.EvalStats
+	curves := newCurveStore(cs)
 	if !opts.adaptive() {
 		plans = make([]Plan, n)
 		ran := core.ForEachCtx(ctx, n, parallelism, func(i int) {
-			plans[i] = planOne(ctx, cs.At(i).Scenario)
+			c := cs.At(i)
+			plans[i] = planOne(ctx, c.Scenario, curves.model(c.Model))
 		})
 		for i := ran; i < n; i++ {
 			plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
 		}
 	} else {
 		var cells []scenario.Cell
-		plans, cells, stats = adaptivePass(ctx, cs, parallelism, opts)
+		plans, cells, stats = adaptivePass(ctx, cs, curves, parallelism, opts)
 		if opts.RefineRounds > 0 && ctx.Err() == nil {
-			plans = refineFrontier(ctx, plans, cells, parallelism, opts, &stats)
+			plans = refineFrontier(ctx, plans, cells, curves, parallelism, opts, &stats)
 		}
 	}
+	stats.PricedPoints = curves.priced()
 
 	stats.Scenarios = len(plans)
 	for i := range plans {
@@ -160,10 +163,11 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 }
 
 // adaptivePass runs phases 1 and 2: bound every cell, then plan them
-// best-bound-first against an incremental frontier. It returns the plans,
-// the cell coordinates position-aligned with them (refinement needs the
-// swept axis values), and the stats with Pruned filled.
-func adaptivePass(ctx context.Context, cs *scenario.CellSet, parallelism int, opts Options) ([]Plan, []scenario.Cell, scenario.EvalStats) {
+// best-bound-first against an incremental frontier, pricing curves through
+// curves. It returns the plans, the cell coordinates position-aligned with
+// them (refinement needs the swept axis values and model ids), and the
+// stats with Pruned filled.
+func adaptivePass(ctx context.Context, cs *scenario.CellSet, curves *curveStore, parallelism int, opts Options) ([]Plan, []scenario.Cell, scenario.EvalStats) {
 	n := cs.Len()
 	cells := make([]scenario.Cell, n)
 	bounds := make([]cellBound, n)
@@ -217,7 +221,7 @@ func adaptivePass(ctx context.Context, cs *scenario.CellSet, parallelism int, op
 	plans := make([]Plan, n)
 	ran := core.ForEachCtx(ctx, n, parallelism, func(k int) {
 		i := order[k]
-		plans[i] = planCell(ctx, cells[i], bounds[i], &frontier, opts)
+		plans[i] = planCell(ctx, cells[i], bounds[i], curves, &frontier, opts)
 	})
 	for _, i := range order[ran:] {
 		plans[i] = cancelledPlan(cells[i].Scenario, ctx.Err())
@@ -229,7 +233,7 @@ func adaptivePass(ctx context.Context, cs *scenario.CellSet, parallelism int, op
 // planCell plans one cell under the adaptive regime: prune on a provably
 // over-budget or frontier-dominated bound, otherwise evaluate and offer the
 // optimum to the frontier.
-func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Frontier, opts Options) Plan {
+func planCell(ctx context.Context, c scenario.Cell, b cellBound, curves *curveStore, frontier *Frontier, opts Options) Plan {
 	if b.ok {
 		if b.overBudget(opts) {
 			recordPrune(ctx, c.Scenario.Name, "over-budget")
@@ -248,7 +252,7 @@ func planCell(ctx context.Context, c scenario.Cell, b cellBound, frontier *Front
 			return prunedPlan(c, b)
 		}
 	}
-	p := planOneOpts(ctx, c.Scenario, opts)
+	p := planOneOpts(ctx, c.Scenario, curves.model(c.Model), opts)
 	if frontierEligible(&p) {
 		frontier.Insert(float64(p.Optimal.Time), p.Optimal.Cost)
 	}
@@ -311,8 +315,8 @@ func prunedPlan(c scenario.Cell, b cellBound) Plan {
 // and is marked Infeasible. Constraints only bind convergence-aware plans —
 // fallback times are per-iteration and not comparable to a wall-clock
 // budget.
-func planOneOpts(ctx context.Context, sc scenario.Scenario, opts Options) Plan {
-	p := planOne(ctx, sc)
+func planOneOpts(ctx context.Context, sc scenario.Scenario, curve *modelCurve, opts Options) Plan {
+	p := planOne(ctx, sc, curve)
 	if p.Err != nil || !p.ConvergenceAware || !opts.constrained() {
 		return p
 	}

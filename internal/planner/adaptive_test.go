@@ -435,6 +435,45 @@ func TestRefinementAddsInteriorCells(t *testing.T) {
 	}
 }
 
+// TestRefinementSkipsHeldExplicitCell: a refinement candidate that an
+// explicit scenario already plans is a duplicate, though explicit cells
+// carry no swept coordinates. The sweep's two bandwidths propose their
+// geometric midpoint, exactly 2 Gbit/s, which the explicit copy of the
+// 1 Gbit/s cell already prices.
+func TestRefinementSkipsHeldExplicitCell(t *testing.T) {
+	base := weakScenario("conv", tree(1e9),
+		&scenario.ConvergenceSpec{Rule: "diminishing", BaseIterations: 50000, CriticalBatchGrowth: 32}, 32)
+	explicit := base
+	explicit.Name = "conv at 2 Gbit/s"
+	explicit.Protocol = tree(2e9)
+	s := scenario.Suite{
+		Name:      "held explicit cell",
+		Objective: "pareto",
+		Scenarios: []scenario.Scenario{explicit},
+		Sweep:     &scenario.Sweep{Base: base, BandwidthsBitsPerSec: []float64{1e9, 4e9}},
+	}
+	if m := geomMid(1e9, 4e9); m != 2e9 {
+		t.Fatalf("geomMid(1e9, 4e9) = %v, want exactly 2e9", m)
+	}
+	for _, parallel := range []int{1, 8} {
+		report, stats, err := PlanSuiteCtx(context.Background(), s, "", parallel, Options{RefineRounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Refined != 0 || len(report.Plans) != 3 {
+			t.Errorf("parallel=%d: refinement planned %d cells (%d plans), want none: the midpoint is held",
+				parallel, stats.Refined, len(report.Plans))
+		}
+		keys := map[string]string{}
+		for _, p := range report.Plans {
+			if prev, dup := keys[p.Scenario.EvalKey()]; dup {
+				t.Errorf("parallel=%d: cells %q and %q share a model", parallel, prev, p.Scenario.Name)
+			}
+			keys[p.Scenario.EvalKey()] = p.Scenario.Name
+		}
+	}
+}
+
 // TestZeroOptionsBitIdentical pins the zero Options to a serial exhaustive
 // pass at any parallelism — the adaptive machinery must be invisible until
 // asked for.

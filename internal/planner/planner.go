@@ -31,7 +31,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -103,7 +102,10 @@ type Plan struct {
 	// Optimal is the recommended configuration: the worker count in
 	// [1, max_workers] minimizing predicted time, ties to fewer machines.
 	Optimal Point
-	// Curve samples every worker count in the scenario's range.
+	// Curve samples every worker count in the scenario's range. Plans of
+	// one report may share a curve's backing array — a cell's curve is a
+	// prefix of the curve of any cell that differs from it only in a larger
+	// worker bound — so the curve is read-only. Report.Export copies it.
 	Curve []Point
 	// Pareto marks membership of the suite's cost×time frontier
 	// (convergence-aware plans only; fallback times are per-iteration and
@@ -148,9 +150,10 @@ type Report struct {
 	Plans []Plan
 }
 
-// PlanScenario plans a single scenario.
+// PlanScenario plans a single scenario: a one-cell pass.
 func PlanScenario(sc scenario.Scenario) (Plan, error) {
-	p := planOne(context.Background(), sc)
+	var curve modelCurve
+	p := planOne(context.Background(), sc, &curve)
 	return p, p.Err
 }
 
@@ -170,13 +173,14 @@ func resolveObjective(s scenario.Suite, objective Objective) (Objective, error) 
 	return parseObjective(string(objective))
 }
 
-// planOne builds the plan for one scenario, converting panics into errors so
-// a broken model cannot take down a suite-wide planning pass. A done context
+// planOne builds the plan for one scenario, pricing its curve through the
+// curve of the scenario's model, and converts panics into errors so a
+// broken model cannot take down a suite-wide planning pass. A done context
 // short-circuits to a cancelled plan, and a panic carrying a context error —
 // how model closures surface cancellation from inside context-blind time
 // functions — unwraps to a clean cancelled plan rather than a "panicked"
 // error.
-func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
+func planOne(ctx context.Context, sc scenario.Scenario, curve *modelCurve) (p Plan) {
 	p.Scenario = sc
 	start := time.Now()
 	ctx, span := obs.Start(ctx, "cell")
@@ -214,7 +218,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 	p.CostRate = node.CostPerHour
 
 	if sc.Convergence == nil {
-		return fallbackPlan(ctx, p, sc, "no convergence block: ranked by per-iteration time")
+		return fallbackPlan(ctx, p, sc, curve, "no convergence block: ranked by per-iteration time")
 	}
 	protocol, err := registry.Protocol(sc.Protocol)
 	if err != nil {
@@ -227,7 +231,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 		return p
 	}
 	if !ok {
-		return fallbackPlan(ctx, p, sc,
+		return fallbackPlan(ctx, p, sc, curve,
 			fmt.Sprintf("family %s has no iteration model: ranked by per-iteration time", family))
 	}
 	rule, err := sc.Convergence.IterationRule()
@@ -258,7 +262,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 			Cost:       runCost(p.CostRate, n, t),
 		}
 	}
-	p.Curve, p.Optimal = curveAndOptimum(sc, at)
+	p.Curve, p.Optimal = curveAndOptimum(sc, curve, at)
 	return p
 }
 
@@ -268,7 +272,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 // evaluation context is bound into the model, so the Monte-Carlo kernels
 // pricing graph-inference fallbacks observe cancellation (surfaced as a
 // ctx-carrying panic planOne's recover unwraps).
-func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice string) Plan {
+func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, curve *modelCurve, notice string) Plan {
 	p.Notice = notice
 	model, err := sc.ModelCtx(ctx)
 	if err != nil {
@@ -282,26 +286,26 @@ func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice stri
 		t := model.Time(n)
 		return Point{Workers: n, Time: t, Cost: runCost(p.CostRate, n, t)}
 	}
-	p.Curve, p.Optimal = curveAndOptimum(sc, at)
+	p.Curve, p.Optimal = curveAndOptimum(sc, curve, at)
 	return p
 }
 
-// curveAndOptimum samples the plan's curve over the scenario's worker axis
-// (1..MaxN) and reads the optimum off it: the point of least time, ties to
-// fewer workers (the same predicted time on fewer machines, so a flat curve
-// recommends one worker). The scan is exact for any curve shape — Spark's
-// ceil(√n) aggregation waves make curves that are not unimodal — and the
-// recommendation is always one of the exported points. The model behind at
-// was built on the scenario's axis (scenario.ModelCtx →
-// registry.WithKernelAxis), so for the graph families the first sampled
-// point fills every point's Monte-Carlo estimate in one
-// common-random-numbers kernel pass and the rest of this loop reads a
-// local snapshot.
-func curveAndOptimum(sc scenario.Scenario, at func(n int) Point) ([]Point, Point) {
-	curve := make([]Point, sc.MaxN())
+// curveAndOptimum takes the plan's curve over the scenario's worker axis
+// (1..MaxN) as a prefix of its model's curve, pricing with at only the
+// points no cell of the model has priced, and reads the optimum off it: the
+// point of least time, ties to fewer workers (the same predicted time on
+// fewer machines, so a flat curve recommends one worker). The scan is exact
+// for any curve shape — Spark's ceil(√n) aggregation waves make curves that
+// are not unimodal — and the recommendation is always one of the exported
+// points. The model behind at was built on the scenario's axis
+// (scenario.ModelCtx → registry.WithKernelAxis), so for the graph families
+// the first sampled point fills every point's Monte-Carlo estimate in one
+// common-random-numbers kernel pass and the rest of the fill reads a local
+// snapshot.
+func curveAndOptimum(sc scenario.Scenario, model *modelCurve, at func(n int) Point) ([]Point, Point) {
+	curve := model.prefix(sc.MaxN(), at)
 	best := 0
 	for i := range curve {
-		curve[i] = at(i + 1)
 		if curve[i].Time < curve[best].Time {
 			best = i
 		}
@@ -390,25 +394,35 @@ func rankPlans(plans []Plan, objective Objective) {
 		}
 		return 0
 	}
-	sort.SliceStable(plans, func(i, j int) bool {
+	// Sort a permutation rather than the plans themselves, which are too
+	// big to swap cheaply. A stable sort's order is fixed by its
+	// comparator, so it is the order sorting the plans would give.
+	perm := make([]int32, len(plans))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int {
 		a, b := &plans[i], &plans[j]
-		if ta, tb := tier(a), tier(b); ta != tb {
-			return ta < tb
+		if c := cmp.Compare(tier(a), tier(b)); c != 0 {
+			return c
 		}
 		if a.Err != nil { // both failed: order by name
-			return a.Scenario.Name < b.Scenario.Name
+			return strings.Compare(a.Scenario.Name, b.Scenario.Name)
 		}
 		if a.Pruned { // both pruned: order by optimistic bound
-			if bt1, bt2 := float64(a.Bound.Time), float64(b.Bound.Time); bt1 != bt2 {
-				return bt1 < bt2
+			if c := order(float64(a.Bound.Time), float64(b.Bound.Time)); c != 0 {
+				return c
 			}
-			if a.Bound.Cost != b.Bound.Cost {
-				return a.Bound.Cost < b.Bound.Cost
+			if c := order(a.Bound.Cost, b.Bound.Cost); c != 0 {
+				return c
 			}
-			return a.Scenario.Name < b.Scenario.Name
+			return strings.Compare(a.Scenario.Name, b.Scenario.Name)
 		}
 		if objective == ObjectivePareto && a.Pareto != b.Pareto {
-			return a.Pareto
+			if a.Pareto {
+				return -1
+			}
+			return 1
 		}
 		t1, t2 := float64(a.Optimal.Time), float64(b.Optimal.Time)
 		c1, c2 := a.Optimal.Cost, b.Optimal.Cost
@@ -416,16 +430,53 @@ func rankPlans(plans []Plan, objective Objective) {
 			t1, c1 = c1, t1
 			t2, c2 = c2, t2
 		}
-		if t1 != t2 {
-			return t1 < t2
+		if c := order(t1, t2); c != 0 {
+			return c
 		}
-		if c1 != c2 {
-			return c1 < c2
+		if c := order(c1, c2); c != 0 {
+			return c
 		}
-		return a.Scenario.Name < b.Scenario.Name
+		return strings.Compare(a.Scenario.Name, b.Scenario.Name)
 	})
+	permute(plans, perm)
 	for i := range plans {
 		plans[i].Rank = i + 1
+	}
+}
+
+// order compares two ranking keys the way < orders them. Unlike
+// cmp.Compare, it does not sort a NaN first: a NaN is never less than
+// anything, but it is unequal to everything, so it settles the comparison
+// without deferring to the next key.
+func order(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x != y:
+		return 1
+	}
+	return 0
+}
+
+// permute reorders plans in place so that plans[k] becomes the plan at
+// perm[k], following each cycle of the permutation once; it consumes perm.
+func permute(plans []Plan, perm []int32) {
+	for start := range perm {
+		if perm[start] < 0 {
+			continue
+		}
+		held := plans[start]
+		k := start
+		for {
+			from := int(perm[k])
+			perm[k] = -1
+			if from == start {
+				plans[k] = held
+				break
+			}
+			plans[k] = plans[from]
+			k = from
+		}
 	}
 }
 

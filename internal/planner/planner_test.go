@@ -471,7 +471,7 @@ func TestExportShape(t *testing.T) {
 func TestCurveOptimumScan(t *testing.T) {
 	optimum := func(maxN int, time func(n int) float64) int {
 		at := func(n int) Point { return Point{Workers: n, Time: units.Seconds(time(n))} }
-		curve, opt := curveAndOptimum(scenario.Scenario{MaxWorkers: maxN}, at)
+		curve, opt := curveAndOptimum(scenario.Scenario{MaxWorkers: maxN}, &modelCurve{}, at)
 		if len(curve) != maxN {
 			t.Fatalf("curve has %d points, want %d", len(curve), maxN)
 		}

@@ -29,16 +29,21 @@ const minRefineRatio = 1 + 1e-6
 // and the extended slices are returned via plans. Rounds stop early when the
 // frontier generates no new candidates (every neighbor gap is already below
 // the resolution floor, or all candidates duplicate existing cells).
-func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, parallelism int, opts Options, stats *scenario.EvalStats) []Plan {
-	// seen fingerprints every cell the pass holds, so adjacent frontier
-	// cells proposing the same midpoint — or a midpoint that lands on a
-	// declared grid point — cannot plan the same model twice.
-	seen := make(map[string]bool, len(plans))
-	for i := range plans {
-		if k := plans[i].Scenario.EvalKey(); k != "" {
-			seen[k] = true
-		}
+//
+// A worker-bound candidate prices a prefix of its parent's model curve in
+// curves. A bandwidth candidate is a new model, one per (parent model,
+// bandwidth): candidates of parents that differ only in their worker bound
+// share it.
+func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, curves *curveStore, parallelism int, opts Options, stats *scenario.EvalStats) []Plan {
+	// held answers whether the pass already holds a candidate's model, so
+	// adjacent frontier cells proposing the same midpoint — or a midpoint
+	// that lands on a declared cell — cannot plan the same model twice.
+	held := newHeldCells(cells)
+	type refinedModel struct {
+		parent    int
+		bandwidth float64
 	}
+	bandwidthModels := make(map[refinedModel]int)
 
 	for round := 0; round < opts.RefineRounds; round++ {
 		if ctx.Err() != nil {
@@ -81,7 +86,17 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 					nc := c
 					nc.Scenario = scenario.RefineBandwidth(c.Scenario, m)
 					nc.SweptBandwidth = m
-					cand = appendCell(cand, nc, seen)
+					if !held.add(nc) {
+						continue
+					}
+					key := refinedModel{c.Model, m}
+					id, ok := bandwidthModels[key]
+					if !ok {
+						id = curves.add(curves.model(c.Model).bound)
+						bandwidthModels[key] = id
+					}
+					nc.Model = id
+					cand = append(cand, nc)
 				}
 			}
 			if w := c.SweptMaxWorkers; w > 0 {
@@ -93,7 +108,9 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 					nc := c
 					nc.Scenario = scenario.RefineMaxWorkers(c.Scenario, m)
 					nc.SweptMaxWorkers = m
-					cand = appendCell(cand, nc, seen)
+					if held.add(nc) {
+						cand = append(cand, nc)
+					}
 				}
 			}
 		}
@@ -122,7 +139,7 @@ func refineFrontier(ctx context.Context, plans []Plan, cells []scenario.Cell, pa
 			// cell reuses its batch-filled estimates outright, and a cell
 			// with fresh coordinates pays one batched pass, not MaxN.
 			bounds[k] = boundFor(cand[k].Scenario)
-			newPlans[k] = planCell(rctx, cand[k], bounds[k], frontier, opts)
+			newPlans[k] = planCell(rctx, cand[k], bounds[k], curves, frontier, opts)
 		})
 		for k := ran; k < len(cand); k++ {
 			newPlans[k] = cancelledPlan(cand[k].Scenario, ctx.Err())
@@ -218,14 +235,69 @@ func intMid(lo, hi int) int {
 	return lo + (hi-lo)/2
 }
 
-// appendCell adds a candidate unless an equivalent model is already held.
-func appendCell(cand []scenario.Cell, c scenario.Cell, seen map[string]bool) []scenario.Cell {
-	k := c.Scenario.EvalKey()
-	if k != "" {
-		if seen[k] {
-			return cand
-		}
-		seen[k] = true
+// heldCells is refinement's duplicate check: a candidate is skipped when a
+// held cell or an earlier candidate has its Scenario.EvalKey. That key is a
+// JSON encoding, so held cells are keyed lazily: each waits in a bucket of
+// fields the key encodes, and is keyed only once a candidate lands in its
+// bucket. Equal keys imply equal buckets, so the check is exact.
+type heldCells struct {
+	cells []scenario.Cell
+	// seen holds the keys of the held cells keyed so far and of every
+	// accepted candidate.
+	seen map[string]bool
+	// waiting maps a bucket to its held cells not keyed yet.
+	waiting map[cellBucket][]int32
+}
+
+// cellBucket is heldCells' cheap necessary key: EvalKey encodes every one
+// of its fields. A candidate copies a cell that planned, so its names are
+// catalog names, and a held cell's name encodes like the candidate's only
+// when the two are equal.
+type cellBucket struct {
+	maxN                 int
+	kind, preset         string
+	bandwidth, precision float64
+}
+
+func bucketOf(sc scenario.Scenario) cellBucket {
+	return cellBucket{
+		maxN:      sc.MaxN(),
+		kind:      sc.Protocol.Kind,
+		preset:    sc.Hardware.Preset,
+		bandwidth: sc.Protocol.BandwidthBitsPerSec,
+		precision: sc.Workload.PrecisionBits,
 	}
-	return append(cand, c)
+}
+
+// newHeldCells buckets the cells a pass holds; cells must not change while
+// the check is in use.
+func newHeldCells(cells []scenario.Cell) *heldCells {
+	h := &heldCells{cells: cells, seen: make(map[string]bool), waiting: make(map[cellBucket][]int32, len(cells))}
+	for i := range cells {
+		b := bucketOf(cells[i].Scenario)
+		h.waiting[b] = append(h.waiting[b], int32(i))
+	}
+	return h
+}
+
+// add reports whether candidate c is new, and records it if so.
+func (h *heldCells) add(c scenario.Cell) bool {
+	k := c.Scenario.EvalKey()
+	if k == "" {
+		// An unresolvable scenario is never a duplicate: it reports its
+		// own error.
+		return true
+	}
+	b := bucketOf(c.Scenario)
+	for _, i := range h.waiting[b] {
+		if hk := h.cells[i].Scenario.EvalKey(); hk != "" {
+			h.seen[hk] = true
+		}
+	}
+	delete(h.waiting, b)
+	if h.seen[k] {
+		return false
+	}
+	h.seen[k] = true
+	return true
 }

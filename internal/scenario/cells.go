@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"dmlscale/internal/registry"
 	"dmlscale/internal/units"
@@ -21,6 +22,13 @@ type Cell struct {
 	// scenarios first, then the sweep grid in axis-nesting order
 	// (protocols ▹ hardware ▹ bandwidths ▹ precisions ▹ max workers).
 	Index int
+	// Model identifies the model the cell prices, in [0, CellSet.Models()).
+	// Cells with equal ids describe the same model and differ at most in
+	// their worker bound and name, so the curve of one over 1..N is a
+	// prefix of the curve of another over a larger bound. An explicit
+	// scenario has an id of its own; a grid cell's id is its grid index
+	// with the max-workers coordinate, the innermost axis, dropped.
+	Model int
 	// Scenario is the materialized grid point.
 	Scenario Scenario
 	// SweptBandwidth is the bandwidth-axis value stamped into this cell;
@@ -220,6 +228,7 @@ type CellSet struct {
 	grid     *sweepGrid
 	override int // suite-level MaxWorkers, applied to grid cells at access
 	total    int
+	gridMaxN int // the largest resolved worker bound of any grid cell
 }
 
 // Cells is the suite's one enumerator: it validates the suite — name,
@@ -259,6 +268,9 @@ func (s Suite) Cells() (*CellSet, error) {
 		}
 		cs.grid = g
 		cs.total += g.total
+		for _, w := range g.maxWorkers {
+			cs.gridMaxN = max(cs.gridMaxN, cs.cellMaxN(w))
+		}
 	}
 	return cs, nil
 }
@@ -293,14 +305,81 @@ func (cs *CellSet) Len() int {
 // so explicit and grid cells carry the same bound.
 func (cs *CellSet) At(i int) Cell {
 	if i < len(cs.explicit) {
-		return Cell{Index: i, Scenario: cs.explicit[i]}
+		return Cell{Index: i, Model: i, Scenario: cs.explicit[i]}
 	}
-	c := cs.grid.cell(i - len(cs.explicit))
+	g := i - len(cs.explicit)
+	c := cs.grid.cell(g)
 	c.Index = i
+	c.Model = len(cs.explicit) + g/len(cs.grid.maxWorkers)
 	if cs.override > 0 {
 		c.Scenario.MaxWorkers = cs.override
 	}
 	return c
+}
+
+// Models returns how many model ids the cells carry (see Cell.Model).
+func (cs *CellSet) Models() int {
+	n := len(cs.explicit)
+	if cs.grid != nil {
+		n += cs.grid.total / len(cs.grid.maxWorkers)
+	}
+	return n
+}
+
+// ModelMaxN returns the largest resolved worker bound (Scenario.MaxN) of
+// any cell of model id.
+func (cs *CellSet) ModelMaxN(id int) int {
+	if id < len(cs.explicit) {
+		return cs.explicit[id].MaxN()
+	}
+	return cs.gridMaxN
+}
+
+// Points returns the number of curve points the cells price: the sum of
+// every cell's MaxN, saturating at math.MaxInt. It costs one step per
+// explicit scenario and per worker-axis value, not one per cell, so a
+// server can bound a suite's work before planning or sweeping it.
+func (cs *CellSet) Points() int {
+	total := 0
+	for _, sc := range cs.explicit {
+		total = satAdd(total, sc.MaxN())
+	}
+	if cs.grid != nil {
+		perValue := cs.grid.total / len(cs.grid.maxWorkers)
+		for _, w := range cs.grid.maxWorkers {
+			total = satAdd(total, satMul(perValue, cs.cellMaxN(w)))
+		}
+	}
+	return total
+}
+
+// cellMaxN resolves the worker bound of the grid cells whose max-workers
+// coordinate is w, as At stamps it.
+func (cs *CellSet) cellMaxN(w int) int {
+	sc := cs.grid.base
+	if w != 0 {
+		sc.MaxWorkers = w
+	}
+	if cs.override > 0 {
+		sc.MaxWorkers = cs.override
+	}
+	return sc.MaxN()
+}
+
+// satAdd and satMul add and multiply non-negative ints, saturating at
+// math.MaxInt.
+func satAdd(a, b int) int {
+	if b > math.MaxInt-a {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Next returns a sequential pull iterator over the cells; the returned

@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -263,5 +265,77 @@ func TestRefineNamesUnique(t *testing.T) {
 	}
 	if got := fmt.Sprint(a.Name); !strings.Contains(got, sc.Name) {
 		t.Errorf("refined name %q dropped the parent name", got)
+	}
+}
+
+// TestCellModelIDs: two grid cells share a model id exactly when their
+// scenarios differ at most in worker bound and name, an explicit scenario
+// shares its id with no other cell, ModelMaxN is the largest bound
+// among a model's cells, and Points sums every cell's bound — with and
+// without a suite-level worker bound.
+func TestCellModelIDs(t *testing.T) {
+	s := sweepSuite()
+	s.Sweep.MaxWorkers = []int{8, 0, 24}
+	s.Scenarios = []Scenario{Fig3(), Fig2()}
+	override := sweepSuite()
+	override.Sweep.MaxWorkers = nil
+	override.Scenarios = []Scenario{Fig3()}
+	override.MaxWorkers = 40
+	for _, suite := range []Suite{s, override} {
+		cs, err := suite.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := func(sc Scenario) Scenario {
+			sc.Name, sc.MaxWorkers = "", 0
+			return sc
+		}
+		maxN := make([]int, cs.Models())
+		points := 0
+		for i := range cs.Len() {
+			a := cs.At(i)
+			if a.Model < 0 || a.Model >= cs.Models() {
+				t.Fatalf("cell %d: model id %d outside [0, %d)", i, a.Model, cs.Models())
+			}
+			maxN[a.Model] = max(maxN[a.Model], a.Scenario.MaxN())
+			points += a.Scenario.MaxN()
+			for j := range i {
+				b := cs.At(j)
+				same := reflect.DeepEqual(model(a.Scenario), model(b.Scenario))
+				// An explicit scenario has an id of its own even when a grid
+				// cell describes its model too.
+				if grid := j >= len(suite.Scenarios); same != (a.Model == b.Model) && (grid || !same) {
+					t.Errorf("cells %q (model %d) and %q (model %d): same model %v", a.Scenario.Name, a.Model, b.Scenario.Name, b.Model, same)
+				}
+			}
+		}
+		for id, n := range maxN {
+			if got := cs.ModelMaxN(id); got != n {
+				t.Errorf("%s: ModelMaxN(%d) = %d, want %d", suite.Name, id, got, n)
+			}
+		}
+		if got := cs.Points(); got != points {
+			t.Errorf("%s: Points() = %d, want %d", suite.Name, got, points)
+		}
+	}
+}
+
+// TestCellPointsSaturate: a point count past math.MaxInt saturates instead
+// of wrapping to a small or negative number a budget check would pass.
+func TestCellPointsSaturate(t *testing.T) {
+	huge := Fig2()
+	huge.Name = "huge"
+	huge.MaxWorkers = math.MaxInt
+	for _, s := range []Suite{
+		{Name: "explicit", Scenarios: []Scenario{Fig2(), huge}},
+		{Name: "grid", Sweep: &Sweep{Base: Fig2(), BandwidthsBitsPerSec: []float64{1e9, 2e9}, MaxWorkers: []int{math.MaxInt/2 + 1, 16}}},
+	} {
+		cs, err := s.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Points(); got != math.MaxInt {
+			t.Errorf("%s: Points() = %d, want math.MaxInt", s.Name, got)
+		}
 	}
 }

@@ -165,6 +165,12 @@ type EvalStats struct {
 	// RefineRounds the refinement rounds that produced them.
 	Refined      int
 	RefineRounds int
+	// PricedPoints counts the curve points the planner priced: one per
+	// worker count of each model's curve, however many cells read a prefix
+	// of it (see Cell.Model). At parallelism 1 it is exact; a parallel
+	// pass can also price cells it then settles as pruned. Always 0 for
+	// plain evaluation passes.
+	PricedPoints int
 	// PlanTime is the summed per-cell planning time (model construction,
 	// curve pricing, optimum search). Always 0 for plain evaluation
 	// passes; the planner fills it.

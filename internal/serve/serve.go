@@ -58,7 +58,8 @@ type Config struct {
 	// 429. Default 8.
 	MaxInFlight int
 	// MaxCells rejects suites expanding past this many grid cells before
-	// any model work; default 4096.
+	// any model work; default 4096. It also bounds the curve points a suite
+	// prices, summed over its cells' worker bounds, at MaxCells × 1,024.
 	MaxCells int
 	// DrainTimeout bounds how long Run waits for in-flight requests after
 	// shutdown begins before cancelling their contexts; default 10s.
@@ -518,10 +519,16 @@ func decodeRequest(body []byte, dst any) error {
 	return nil
 }
 
+// pointsPerCell is how many curve points a suite may price per cell of the
+// server's cell cap: the graph families' worker-axis bound, so a cap's
+// worth of graph cells fits, while a gradient-descent cell, whose axis is
+// unbounded, cannot ask for billions of points (about 94 bytes each).
+const pointsPerCell = 1024
+
 // decodeSuite turns the raw suite sub-document into a validated suite and
-// enforces the server's grid cap before any model work. The cap check is
-// catalog arithmetic on the lazy cell view — an oversized or malformed grid
-// never reaches the engine.
+// enforces the server's grid and point caps before any model work. The cap
+// checks are catalog arithmetic on the lazy cell view — an oversized or
+// malformed grid never reaches the engine.
 func (s *Server) decodeSuite(raw json.RawMessage) (scenario.Suite, error) {
 	if len(raw) == 0 {
 		return scenario.Suite{}, fmt.Errorf("missing \"suite\"")
@@ -536,6 +543,14 @@ func (s *Server) decodeSuite(raw json.RawMessage) (scenario.Suite, error) {
 	}
 	if cs.Len() > s.cfg.MaxCells {
 		return scenario.Suite{}, fmt.Errorf("suite expands to %d cells, over the server's limit of %d", cs.Len(), s.cfg.MaxCells)
+	}
+	limit := math.MaxInt
+	if s.cfg.MaxCells <= math.MaxInt/pointsPerCell {
+		limit = s.cfg.MaxCells * pointsPerCell
+	}
+	if points := cs.Points(); points > limit {
+		return scenario.Suite{}, fmt.Errorf("suite prices %d curve points (the sum of its cells' max_workers), over the server's limit of %d (%d per cell of the %d-cell limit)",
+			points, limit, pointsPerCell, s.cfg.MaxCells)
 	}
 	return suite, nil
 }

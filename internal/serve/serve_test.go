@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte, ht
 }
 
 // TestHandlerAllocs pins the allocations of one request through the
-// in-process handler, on the kernel-free fixtures: 218 for the plan and
+// in-process handler, on the kernel-free fixtures: 219 for the plan and
 // 260 for the sweep. A change that allocates more per request fails here
 // and must say why it pays.
 func TestHandlerAllocs(t *testing.T) {
@@ -105,7 +106,7 @@ func TestHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		path, suite string
 		pin         float64
-	}{{"/v1/plan", planSuiteJSON, 218}, {"/v1/sweep", sweepSuiteJSON, 260}} {
+	}{{"/v1/plan", planSuiteJSON, 219}, {"/v1/sweep", sweepSuiteJSON, 260}} {
 		body := `{"suite": ` + tc.suite + `}`
 		allocs := testing.AllocsPerRun(20, func() {
 			rec := httptest.NewRecorder()
@@ -581,5 +582,34 @@ func TestServedSweepBoundsGraphAxis(t *testing.T) {
 	if after.Degrees.Misses != before.Degrees.Misses || after.KernelBatches != before.KernelBatches ||
 		after.KernelSingles != before.KernelSingles || after.Estimates.Misses != before.Estimates.Misses {
 		t.Errorf("a refused axis priced work: caches went from %+v to %+v", before, after)
+	}
+}
+
+// TestServedSuiteBoundsCurvePoints: a gradient-descent axis has no bound of
+// its own, so one cell at 2^31−1 workers would ask for a curve of about
+// 200 GB. The server refuses it, on both verbs, with a 400 naming the
+// point limit — MaxCells × 1,024 — before any curve is allocated.
+func TestServedSuiteBoundsCurvePoints(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	suite := `{"name": "huge gd axis", "scenarios": [{
+	  "name": "conv",
+	  "workload": {"family": "gd-weak", "flops_per_example": 15e9, "batch_size": 128, "parameters": 25e6, "precision_bits": 32},
+	  "hardware": {"preset": "nvidia-k40"},
+	  "protocol": {"kind": "two-stage-tree", "bandwidth_bits_per_sec": 1e9},
+	  "convergence": {"rule": "sqrt", "base_iterations": 10000},
+	  "max_workers": 2147483647
+	}]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, path := range []string{"/v1/plan", "/v1/sweep"} {
+		status, body, _ := post(t, ts, path, `{"suite": `+suite+`}`)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "2147483647 curve points") ||
+			!strings.Contains(string(body), "limit of 4194304") {
+			t.Errorf("%s: status %d, body %s; want 400 naming the point limit", path, status, body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("refusing the suite allocated %d bytes", grew)
 	}
 }
